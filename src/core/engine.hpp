@@ -71,9 +71,12 @@
 //    the only allowlisted users are util/log.cpp and util/parallel.cpp,
 //    which never sit on a result path);
 //  * unordered-iter -- unordered-container iteration order never reaches
-//    an emit/result path;
-//  * jsonl-key-order -- the sim/run_record.cpp emitters, their strict
-//    parsers, and the README example rows agree key-for-key.
+//    an emit/result path.
+//
+// The JSONL rows need no rule: sim/run_record.cpp declares each row type
+// once for its emitter, strict parser and CSV columns, and the ReadmeRows
+// test (tests/test_run_record.cpp) round-trips every README example row
+// byte for byte.
 
 #include "core/protocol.hpp"
 #include "core/workspace.hpp"

@@ -32,7 +32,6 @@
 #include "core/neighborhood.hpp"
 #include "core/protocol.hpp"
 #include "core/reference.hpp"
-#include "core/sharded_engine.hpp"
 #include "core/subgraph.hpp"
 #include "core/trace.hpp"
 #include "core/weighted.hpp"

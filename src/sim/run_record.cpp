@@ -1,98 +1,169 @@
 #include "sim/run_record.hpp"
 
-#include <cerrno>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 namespace saer {
 
-std::string format_double_compact(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-std::string format_double_roundtrip(double value) {
-  char buf[64];
-  for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) return buf;
-  }
-  // %.17g round-trips every finite double; reachable only for inf/nan,
-  // which the sweep never produces but which should still print something.
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-RunRecord RunRecord::from_result(const ProtocolParams& params,
-                                 const RunResult& result) {
-  RunRecord rec;
-  rec.params = params;
-  rec.completed = result.completed;
-  rec.rounds = result.rounds;
-  rec.total_balls = result.total_balls;
-  rec.alive_balls = result.alive_balls;
-  rec.work_messages = result.work_messages;
-  rec.max_load = result.max_load;
-  rec.burned_servers = result.burned_servers;
-  rec.trace = result.trace;
-  return rec;
-}
-
-void write_run_record(std::ostream& os, const RunRecord& rec) {
-  os << "saer-run 1\n";
-  os << "protocol " << to_string(rec.params.protocol) << '\n';
-  os << "d " << rec.params.d << '\n';
-  os << "c " << rec.params.c << '\n';
-  os << "seed " << rec.params.seed << '\n';
-  os << "completed " << (rec.completed ? 1 : 0) << '\n';
-  os << "rounds " << rec.rounds << '\n';
-  os << "total_balls " << rec.total_balls << '\n';
-  os << "alive_balls " << rec.alive_balls << '\n';
-  os << "work_messages " << rec.work_messages << '\n';
-  os << "max_load " << rec.max_load << '\n';
-  os << "burned_servers " << rec.burned_servers << '\n';
-  os << "trace_rows " << rec.trace.size() << '\n';
-  for (const RoundStats& r : rec.trace) {
-    os << r.round << ' ' << r.alive_begin << ' ' << r.accepted << ' '
-       << r.burned_total << '\n';
-  }
-  if (!os) throw std::runtime_error("write_run_record: stream failure");
-}
+// ---------------------------------------------------------------------------
+// Row declarations.
+//
+// Each row type lists its (key, member) entries exactly once, in wire
+// order, in a `fields(io, row)` visitor.  Every codec in this file walks
+// that one declaration: the JSON writer, the strict JSON reader
+// (JsonCursor), the CSV columns and cells, and the `saer-run 1` text
+// format.  Key drift between them cannot happen by construction.  An Io
+// accepts three kinds of entry:
+//
+//   io.field(key, member)   a scalar, string or protocol member;
+//   io.object(key, record)  a nested RunRecord object;
+//   io.derived(key, value)  a value computed from entries visited before
+//                           it: writers emit it, the JSON reader checks
+//                           the value it reads against it.
 
 namespace {
 
-std::string expect_key(std::istream& is, const std::string& key) {
-  std::string line;
-  if (!std::getline(is, line))
-    throw std::runtime_error("read_run_record: unexpected end of input");
-  std::istringstream row(line);
-  std::string name, value;
-  row >> name;
-  std::getline(row, value);
-  if (name != key)
-    throw std::runtime_error("read_run_record: expected key '" + key +
-                             "', got '" + name + "'");
-  // Trim the single leading space left by getline after >>.
-  if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-  return value;
+template <class Io>
+void fields(Io& io, RunRecord& rec) {
+  io.field("protocol", rec.params.protocol);
+  io.field("d", rec.params.d);
+  io.field("c", rec.params.c);
+  io.field("seed", rec.params.seed);
+  io.field("completed", rec.completed);
+  io.field("rounds", rec.rounds);
+  io.field("total_balls", rec.total_balls);
+  io.field("alive_balls", rec.alive_balls);
+  io.field("work_messages", rec.work_messages);
+  io.derived("work_per_ball", run_record_work_per_ball(rec));
+  io.field("max_load", rec.max_load);
+  io.field("burned_servers", rec.burned_servers);
 }
 
-Protocol parse_protocol(const std::string& name) {
-  if (name == "SAER") return Protocol::kSaer;
-  if (name == "RAES") return Protocol::kRaes;
-  throw std::runtime_error("run record: unknown protocol " + name);
+template <class Io>
+void fields(Io& io, SweepRunRow& row) {
+  io.field("point", row.point);
+  io.field("label", row.label);
+  io.field("replication", row.replication);
+  io.field("graph_seed", row.graph_seed);
+  io.field("num_servers", row.num_servers);
+  io.field("burned_fraction", row.burned_fraction);
+  io.field("decay_rate", row.decay_rate);
+  io.object("run", row.record);
 }
 
-/// JSON string escaping for the sweep rows: quotes, backslashes, and every
-/// control character (labels are free-form user text; an unescaped newline
-/// would break the one-row-per-line framing the resume splice relies on).
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+template <class Io>
+void fields(Io& io, ServeMetricsRow& row) {
+  io.field("round", row.round);
+  io.field("elapsed_us", row.elapsed_us);
+  io.field("arrivals_per_s", row.arrivals_per_s);
+  io.field("injected_clients", row.injected_clients);
+  io.field("assigned_balls", row.assigned_balls);
+  io.field("backlog", row.backlog);
+  io.field("p50_rounds", row.p50_rounds);
+  io.field("p99_rounds", row.p99_rounds);
+  io.field("p999_rounds", row.p999_rounds);
+  io.field("p50_us", row.p50_us);
+  io.field("p99_us", row.p99_us);
+  io.field("p999_us", row.p999_us);
+  io.field("max_load", row.max_load);
+  io.field("mean_load", row.mean_load);
+  io.field("burned_servers", row.burned_servers);
+  io.field("failed_servers", row.failed_servers);
+}
+
+template <class Io>
+void fields(Io& io, OrchestrateEventRow& row) {
+  io.field("event", row.event);
+  io.field("shard", row.shard);
+  io.field("attempt", row.attempt);
+  io.field("elapsed_ms", row.elapsed_ms);
+  io.field("pid", row.pid);
+  io.field("exit_code", row.exit_code);
+  io.field("term_signal", row.term_signal);
+  io.field("detail", row.detail);
+}
+
+/// Writers walk the same declarations as the reader but only read the row,
+/// so handing them a mutable view of a const row is safe.
+template <class Io, class Row>
+void write_fields(Io& io, const Row& row) {
+  fields(io, const_cast<Row&>(row));
+}
+
+// ---------------------------------------------------------------------------
+// Post-parse checks: the conditions a row's entries must meet jointly.
+// Each returns the problem, or an empty string for a valid row.
+
+std::string validate(const SweepRunRow& row) {
+  if (row.num_servers == 0) return "num_servers must be positive";
+  if (row.burned_fraction != static_cast<double>(row.record.burned_servers) /
+                                 static_cast<double>(row.num_servers))
+    return "burned_fraction contradicts burned_servers/num_servers";
+  return {};
+}
+
+std::string validate(const ServeMetricsRow& row) {
+  if (row.p50_rounds > row.p99_rounds || row.p99_rounds > row.p999_rounds)
+    return "round percentiles out of order";
+  if (row.p50_us > row.p99_us || row.p99_us > row.p999_us)
+    return "microsecond percentiles out of order";
+  return {};
+}
+
+/// The closed set of supervision event names (plain array: keyed lookup
+/// only, and the linter bans unordered containers under src/).
+constexpr const char* kOrchestrateEvents[] = {
+    "spawn", "restart", "exit", "stall", "chaos", "drain", "give-up", "done"};
+
+std::string validate(const OrchestrateEventRow& row) {
+  const auto* const end = std::end(kOrchestrateEvents);
+  if (std::find(std::begin(kOrchestrateEvents), end, row.event) == end)
+    return "unknown event '" + row.event + "'";
+  if (row.exit_code < -1 || row.exit_code > 255)
+    return "exit_code out of range";
+  if (row.term_signal < 0 || row.term_signal > 64)
+    return "term_signal out of range";
+  if (row.exit_code >= 0 && row.term_signal > 0)
+    return "exit_code and term_signal are mutually exclusive";
+  return {};
+}
+
+// ---------------------------------------------------------------------------
+// Value spellings.
+
+bool protocol_from_name(std::string_view name, Protocol& out) {
+  for (const Protocol p : {Protocol::kSaer, Protocol::kRaes}) {
+    if (name == to_string(p)) {
+      out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
+void append_double_roundtrip(std::string& out, double value) {
+  char buf[64];
+  for (const int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  // %.17g round-trips every finite double; inf/nan, which the sweep never
+  // produces, still print something.
+  out += buf;
+}
+
+/// JSON string escaping: quotes, backslashes, and every control character
+/// (labels are free-form user text; an unescaped newline would break the
+/// one-row-per-line framing the resume splice relies on).
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
   for (const char ch : text) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -113,14 +184,148 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
-  return out;
+  out += '"';
 }
 
-/// Strict cursor over one JSON line.  Every helper throws with the byte
-/// offset on a mismatch, so malformed-line errors point at the defect.
+/// The spelling shared by CSV cells and the text format: compact doubles,
+/// 0/1 flags, bare protocol names.
+template <class T>
+std::string plain_text(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "1" : "0";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return format_double_compact(value);
+  } else if constexpr (std::is_same_v<T, Protocol>) {
+    return to_string(value);
+  } else {
+    return std::to_string(value);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Codecs.  Each walks a row's declaration.
+
+/// Appends a row as a one-line JSON object: round-trip doubles, 0/1 flags.
+/// No entry allocates: sweeps emit one row per run on their hot path.
+struct JsonWriter {
+  std::string& out;
+
+  template <class Row>
+  void object_body(const Row& row) {
+    out += '{';
+    write_fields(*this, row);
+    out += '}';
+  }
+
+  void object(const char* key, const RunRecord& rec) {
+    put_key(key);
+    object_body(rec);
+  }
+
+  template <class T>
+  void field(const char* key, const T& value) {
+    put_key(key);
+    if constexpr (std::is_same_v<T, bool>) {
+      out += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, double>) {
+      append_double_roundtrip(out, value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      append_json_string(out, value);
+    } else if constexpr (std::is_same_v<T, Protocol>) {
+      append_json_string(out, to_string(value));
+    } else {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    }
+  }
+
+  void derived(const char* key, double value) { field(key, value); }
+
+  void put_key(const char* key) {
+    if (out.back() != '{') out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+  }
+};
+
+/// Strict cursor over one line: the JSON row reader, and the one value
+/// codec (range-checked integers, exact doubles, 0/1 flags) the text
+/// format shares.  Failures throw with `context` -- the row type -- and
+/// the byte offset of the defect.
 class JsonCursor {
  public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
+  JsonCursor(std::string_view text, std::string_view context)
+      : text_(text), context_(context) {}
+
+  template <class Row>
+  void object_body(Row& row) {
+    expect('{');
+    fields(*this, row);
+    expect('}');
+  }
+
+  void object(const char* key, RunRecord& rec) {
+    expect_key(key);
+    object_body(rec);
+  }
+
+  template <class T>
+  void field(const char* key, T& value) {
+    expect_key(key);
+    if constexpr (std::is_same_v<T, Protocol>) {
+      const std::size_t at = pos_;
+      if (!protocol_from_name(parse<std::string>(), value)) {
+        pos_ = at;
+        fail("unknown protocol");
+      }
+    } else {
+      value = parse<T>();
+    }
+  }
+
+  /// A derived entry must equal the value its sources, already read,
+  /// imply: any mismatch means a corrupted or foreign stream.
+  void derived(const char* key, double expected) {
+    expect_key(key);
+    const std::size_t at = pos_;
+    if (parse<double>() != expected) {
+      pos_ = at;
+      fail(std::string(key) + " contradicts the fields it derives from");
+    }
+  }
+
+  template <class T>
+  T parse() {
+    const std::size_t start = pos_;
+    if constexpr (std::is_same_v<T, std::string>) {
+      return parse_string();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      const auto value = parse<std::uint64_t>();
+      if (value > 1) {
+        pos_ = start;
+        fail("expected 0 or 1");
+      }
+      return value == 1;
+    } else {
+      while (pos_ < text_.size() &&
+             std::string_view("0123456789+-.eE").find(text_[pos_]) !=
+                 std::string_view::npos)
+        ++pos_;
+      // from_chars rejects out-of-range integers (no narrowing, no
+      // wrap-around) and, for unsigned fields, any sign.
+      T value{};
+      const char* end = text_.data() + pos_;
+      const auto result = std::from_chars(text_.data() + start, end, value);
+      if (result.ec != std::errc() || result.ptr != end) {
+        pos_ = start;
+        if constexpr (std::is_floating_point_v<T>) fail("expected number");
+        fail("expected " + std::to_string(sizeof(T) * 8) + "-bit " +
+             (std::is_signed_v<T> ? "signed" : "unsigned") + " integer");
+      }
+      return value;
+    }
+  }
 
   void expect(char ch) {
     if (pos_ >= text_.size() || text_[pos_] != ch)
@@ -128,83 +333,29 @@ class JsonCursor {
     ++pos_;
   }
 
-  /// Consumes `"name":` — the fixed-key-order guard against emitter drift.
+  void expect_end() {
+    if (pos_ != text_.size()) fail("trailing characters");
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error(std::string(context_) + ": " + what +
+                             " at byte " + std::to_string(pos_));
+  }
+
+ private:
+  /// Consumes `"name":`, preceded by a comma unless it opens the object:
+  /// the fixed-key-order guard against emitter drift.
   void expect_key(const char* name) {
+    if (text_[pos_ - 1] != '{') expect(',');
     const std::size_t at = pos_;
     expect('"');
-    for (const char* p = name; *p; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        pos_ = at;
-        fail("expected key \"" + std::string(name) + "\"");
-      }
-      ++pos_;
+    if (!text_.substr(pos_).starts_with(name)) {
+      pos_ = at;
+      fail("expected key \"" + std::string(name) + "\"");
     }
+    pos_ += std::string_view(name).size();
     expect('"');
     expect(':');
-  }
-
-  std::uint64_t parse_u64() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-      ++pos_;
-    if (pos_ == start) fail("expected unsigned integer");
-    errno = 0;
-    const std::uint64_t value =
-        std::strtoull(text_.substr(start, pos_ - start).c_str(), nullptr, 10);
-    if (errno == ERANGE) fail("integer out of range");
-    return value;
-  }
-
-  std::int64_t parse_i64() {
-    const std::size_t at = pos_;
-    const bool negative = pos_ < text_.size() && text_[pos_] == '-';
-    if (negative) ++pos_;
-    const std::uint64_t magnitude = parse_u64();
-    const std::uint64_t limit =
-        static_cast<std::uint64_t>(INT64_MAX) + (negative ? 1 : 0);
-    if (magnitude > limit) {
-      pos_ = at;
-      fail("integer out of 64-bit signed range");
-    }
-    return negative ? -static_cast<std::int64_t>(magnitude)
-                    : static_cast<std::int64_t>(magnitude);
-  }
-
-  std::uint32_t parse_u32() {
-    const std::size_t at = pos_;
-    const std::uint64_t value = parse_u64();
-    if (value > UINT32_MAX) {
-      pos_ = at;
-      fail("integer out of 32-bit range");
-    }
-    return static_cast<std::uint32_t>(value);
-  }
-
-  double parse_double() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::string("0123456789+-.eE").find(text_[pos_]) !=
-            std::string::npos))
-      ++pos_;
-    if (pos_ == start) fail("expected number");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    return value;
-  }
-
-  bool parse_bool01() {
-    const std::size_t at = pos_;
-    const std::uint64_t value = parse_u64();
-    if (value > 1) {
-      pos_ = at;
-      fail("expected 0 or 1");
-    }
-    return value == 1;
   }
 
   std::string parse_string() {
@@ -227,16 +378,12 @@ class JsonCursor {
           case 'b': out += '\b'; break;
           case 'f': out += '\f'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
             unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char hex = text_[pos_++];
-              code <<= 4;
-              if (hex >= '0' && hex <= '9') code |= static_cast<unsigned>(hex - '0');
-              else if (hex >= 'a' && hex <= 'f') code |= static_cast<unsigned>(hex - 'a' + 10);
-              else if (hex >= 'A' && hex <= 'F') code |= static_cast<unsigned>(hex - 'A' + 10);
-              else fail("bad \\u escape digit");
-            }
+            const char* hex = text_.data() + pos_;
+            const std::size_t digits = std::min<std::size_t>(4, text_.size() - pos_);
+            if (std::from_chars(hex, hex + digits, code, 16).ptr != hex + 4)
+              fail("bad \\u escape");
+            pos_ += 4;
             if (code < 0x80) {
               out += static_cast<char>(code);
             } else if (code < 0x800) {
@@ -263,60 +410,101 @@ class JsonCursor {
     return out;
   }
 
-  void expect_end() {
-    if (pos_ != text_.size()) fail("trailing characters");
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("sweep row: " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
- private:
-  const std::string& text_;
+  std::string_view text_;
+  std::string_view context_;
   std::size_t pos_ = 0;
+};
+
+template <class Row>
+std::string emit_row(const Row& row) {
+  std::string out;
+  out.reserve(256);
+  JsonWriter{out}.object_body(row);
+  return out;
+}
+
+template <class Row>
+Row parse_row(const std::string& line, const char* context) {
+  JsonCursor cursor(line, context);
+  Row row;
+  cursor.object_body(row);
+  cursor.expect_end();
+  if (const std::string problem = validate(row); !problem.empty())
+    throw std::runtime_error(std::string(context) + ": " + problem);
+  return row;
+}
+
+/// CSV: the declared keys are the header...
+struct CsvColumns {
+  std::vector<std::string> keys;
+  template <class T>
+  void field(const char* key, const T&) { keys.emplace_back(key); }
+  void derived(const char* key, double) { keys.emplace_back(key); }
+};
+
+/// ...and each entry's plain spelling is a cell.
+struct CsvCells {
+  std::vector<std::string> cells;
+  template <class T>
+  void field(const char*, const T& value) { cells.push_back(plain_text(value)); }
+  void derived(const char*, double value) { cells.push_back(plain_text(value)); }
+};
+
+// The `saer-run 1` text format: one `key value` line per entry, in the
+// plain spelling.  Derived entries are not stored; loading recomputes them.
+
+struct TextWriter {
+  std::ostream& os;
+  template <class T>
+  void field(const char* key, const T& value) {
+    os << key << ' ' << plain_text(value) << '\n';
+  }
+  void derived(const char*, double) {}
+};
+
+struct TextReader {
+  std::istream& is;
+
+  template <class T>
+  void field(const char* key, T& value) {
+    std::string line;
+    if (!std::getline(is, line))
+      throw std::runtime_error("read_run_record: unexpected end of input");
+    const std::size_t space = std::min(line.find(' '), line.size());
+    if (line.compare(0, space, key) != 0)
+      throw std::runtime_error("read_run_record: expected key '" +
+                               std::string(key) + "', got '" +
+                               line.substr(0, space) + "'");
+    const std::string_view text =
+        std::string_view(line).substr(std::min(space + 1, line.size()));
+    const std::string context = std::string("read_run_record: ") + key;
+    JsonCursor cursor(text, context);
+    if constexpr (std::is_same_v<T, Protocol>) {
+      if (!protocol_from_name(text, value)) cursor.fail("unknown protocol");
+    } else {
+      value = cursor.parse<T>();
+      cursor.expect_end();
+    }
+  }
+
+  void derived(const char*, double) {}
 };
 
 }  // namespace
 
-RunRecord read_run_record(std::istream& is) {
-  std::string header;
-  if (!std::getline(is, header) || header != "saer-run 1")
-    throw std::runtime_error("read_run_record: bad header");
-  RunRecord rec;
-  rec.params.protocol = parse_protocol(expect_key(is, "protocol"));
-  rec.params.d = static_cast<std::uint32_t>(std::stoul(expect_key(is, "d")));
-  rec.params.c = std::stod(expect_key(is, "c"));
-  rec.params.seed = std::stoull(expect_key(is, "seed"));
-  rec.completed = expect_key(is, "completed") == "1";
-  rec.rounds = static_cast<std::uint32_t>(std::stoul(expect_key(is, "rounds")));
-  rec.total_balls = std::stoull(expect_key(is, "total_balls"));
-  rec.alive_balls = std::stoull(expect_key(is, "alive_balls"));
-  rec.work_messages = std::stoull(expect_key(is, "work_messages"));
-  rec.max_load = std::stoull(expect_key(is, "max_load"));
-  rec.burned_servers = std::stoull(expect_key(is, "burned_servers"));
-  const auto rows = std::stoull(expect_key(is, "trace_rows"));
-  rec.trace.resize(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string line;
-    if (!std::getline(is, line))
-      throw std::runtime_error("read_run_record: truncated trace");
-    std::istringstream row(line);
-    RoundStats& r = rec.trace[i];
-    row >> r.round >> r.alive_begin >> r.accepted >> r.burned_total;
-    if (!row) throw std::runtime_error("read_run_record: bad trace row");
-    r.submitted = r.alive_begin;
-  }
-  return rec;
+// ---------------------------------------------------------------------------
+// Public API.
+
+std::string format_double_compact(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return buf;
 }
 
-const std::vector<std::string>& run_record_columns() {
-  static const std::vector<std::string> columns = {
-      "protocol",      "d",        "c",
-      "seed",          "completed", "rounds",
-      "total_balls",   "alive_balls", "work_messages",
-      "work_per_ball", "max_load", "burned_servers"};
-  return columns;
+std::string format_double_roundtrip(double value) {
+  std::string out;
+  append_double_roundtrip(out, value);
+  return out;
 }
 
 double run_record_work_per_ball(const RunRecord& rec) {
@@ -325,282 +513,101 @@ double run_record_work_per_ball(const RunRecord& rec) {
                          : 0.0;
 }
 
-std::vector<std::string> run_record_cells(const RunRecord& rec) {
-  return {to_string(rec.params.protocol),
-          std::to_string(rec.params.d),
-          format_double_compact(rec.params.c),
-          std::to_string(rec.params.seed),
-          rec.completed ? "1" : "0",
-          std::to_string(rec.rounds),
-          std::to_string(rec.total_balls),
-          std::to_string(rec.alive_balls),
-          std::to_string(rec.work_messages),
-          format_double_compact(run_record_work_per_ball(rec)),
-          std::to_string(rec.max_load),
-          std::to_string(rec.burned_servers)};
+RunRecord RunRecord::from_result(const ProtocolParams& params,
+                                 const RunResult& result) {
+  RunRecord rec;
+  rec.params = params;
+  rec.completed = result.completed;
+  rec.rounds = result.rounds;
+  rec.total_balls = result.total_balls;
+  rec.alive_balls = result.alive_balls;
+  rec.work_messages = result.work_messages;
+  rec.max_load = result.max_load;
+  rec.burned_servers = result.burned_servers;
+  rec.trace = result.trace;
+  return rec;
 }
 
-std::string run_record_json(const RunRecord& rec) {
-  std::string out = "{\"protocol\":\"" + to_string(rec.params.protocol) + '"';
-  out += ",\"d\":" + std::to_string(rec.params.d);
-  out += ",\"c\":" + format_double_roundtrip(rec.params.c);
-  out += ",\"seed\":" + std::to_string(rec.params.seed);
-  out += std::string(",\"completed\":") + (rec.completed ? "1" : "0");
-  out += ",\"rounds\":" + std::to_string(rec.rounds);
-  out += ",\"total_balls\":" + std::to_string(rec.total_balls);
-  out += ",\"alive_balls\":" + std::to_string(rec.alive_balls);
-  out += ",\"work_messages\":" + std::to_string(rec.work_messages);
-  out += ",\"work_per_ball\":" + format_double_roundtrip(run_record_work_per_ball(rec));
-  out += ",\"max_load\":" + std::to_string(rec.max_load);
-  out += ",\"burned_servers\":" + std::to_string(rec.burned_servers);
-  out += '}';
-  return out;
+void write_run_record(std::ostream& os, const RunRecord& rec) {
+  os << "saer-run 1\n";
+  TextWriter writer{os};
+  write_fields(writer, rec);
+  os << "trace_rows " << rec.trace.size() << '\n';
+  for (const RoundStats& r : rec.trace) {
+    os << r.round << ' ' << r.alive_begin << ' ' << r.accepted << ' '
+       << r.burned_total << '\n';
+  }
+  if (!os) throw std::runtime_error("write_run_record: stream failure");
 }
+
+RunRecord read_run_record(std::istream& is) {
+  std::string header;
+  if (!std::getline(is, header) || header != "saer-run 1")
+    throw std::runtime_error("read_run_record: bad header");
+  RunRecord rec;
+  TextReader reader{is};
+  fields(reader, rec);
+  std::uint64_t rows = 0;
+  reader.field("trace_rows", rows);
+  // Rows are appended as they are read: the count is a claim about the
+  // stream, not an allocation size.
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    std::string line;
+    if (!std::getline(is, line))
+      throw std::runtime_error("read_run_record: truncated trace");
+    JsonCursor cursor(line, "read_run_record: trace row");
+    RoundStats& r = rec.trace.emplace_back();
+    r.round = cursor.parse<std::uint32_t>();
+    for (std::uint64_t* value : {&r.alive_begin, &r.accepted, &r.burned_total}) {
+      cursor.expect(' ');
+      *value = cursor.parse<std::uint64_t>();
+    }
+    cursor.expect_end();
+    r.submitted = r.alive_begin;
+  }
+  return rec;
+}
+
+const std::vector<std::string>& run_record_columns() {
+  static const std::vector<std::string> columns = [] {
+    CsvColumns columns;
+    write_fields(columns, RunRecord{});
+    return columns.keys;
+  }();
+  return columns;
+}
+
+std::vector<std::string> run_record_cells(const RunRecord& rec) {
+  CsvCells csv;
+  csv.cells.reserve(run_record_columns().size());
+  write_fields(csv, rec);
+  return csv.cells;
+}
+
+std::string run_record_json(const RunRecord& rec) { return emit_row(rec); }
 
 std::string sweep_run_row_json(const SweepRunRow& row) {
-  std::string out = "{\"point\":" + std::to_string(row.point);
-  out += ",\"label\":\"" + json_escape(row.label) + '"';
-  out += ",\"replication\":" + std::to_string(row.replication);
-  out += ",\"graph_seed\":" + std::to_string(row.graph_seed);
-  out += ",\"num_servers\":" + std::to_string(row.num_servers);
-  out += ",\"burned_fraction\":" + format_double_roundtrip(row.burned_fraction);
-  out += ",\"decay_rate\":" + format_double_roundtrip(row.decay_rate);
-  out += ",\"run\":" + run_record_json(row.record) + '}';
-  return out;
+  return emit_row(row);
 }
 
 SweepRunRow parse_sweep_run_row(const std::string& line) {
-  JsonCursor cursor(line);
-  SweepRunRow row;
-  cursor.expect('{');
-  cursor.expect_key("point");
-  row.point = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("label");
-  row.label = cursor.parse_string();
-  cursor.expect(',');
-  cursor.expect_key("replication");
-  row.replication = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("graph_seed");
-  row.graph_seed = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("num_servers");
-  row.num_servers = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("burned_fraction");
-  row.burned_fraction = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("decay_rate");
-  row.decay_rate = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("run");
-  cursor.expect('{');
-  RunRecord& rec = row.record;
-  cursor.expect_key("protocol");
-  rec.params.protocol = parse_protocol(cursor.parse_string());
-  cursor.expect(',');
-  cursor.expect_key("d");
-  rec.params.d = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("c");
-  rec.params.c = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("seed");
-  rec.params.seed = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("completed");
-  rec.completed = cursor.parse_bool01();
-  cursor.expect(',');
-  cursor.expect_key("rounds");
-  rec.rounds = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("total_balls");
-  rec.total_balls = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("alive_balls");
-  rec.alive_balls = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("work_messages");
-  rec.work_messages = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("work_per_ball");
-  const double work_per_ball = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("max_load");
-  rec.max_load = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("burned_servers");
-  rec.burned_servers = cursor.parse_u64();
-  cursor.expect('}');
-  cursor.expect('}');
-  cursor.expect_end();
-
-  // Derived fields must agree with their integer sources: the emitter
-  // computes them, so any mismatch means a corrupted or foreign stream.
-  if (work_per_ball != run_record_work_per_ball(rec))
-    throw std::runtime_error(
-        "sweep row: work_per_ball contradicts work_messages/total_balls");
-  if (row.num_servers == 0)
-    throw std::runtime_error("sweep row: num_servers must be positive");
-  if (row.burned_fraction != static_cast<double>(rec.burned_servers) /
-                                 static_cast<double>(row.num_servers))
-    throw std::runtime_error(
-        "sweep row: burned_fraction contradicts burned_servers/num_servers");
-  return row;
+  return parse_row<SweepRunRow>(line, "sweep row");
 }
 
 std::string serve_metrics_row_json(const ServeMetricsRow& row) {
-  std::string out = "{\"round\":" + std::to_string(row.round);
-  out += ",\"elapsed_us\":" + std::to_string(row.elapsed_us);
-  out += ",\"arrivals_per_s\":" + format_double_roundtrip(row.arrivals_per_s);
-  out += ",\"injected_clients\":" + std::to_string(row.injected_clients);
-  out += ",\"assigned_balls\":" + std::to_string(row.assigned_balls);
-  out += ",\"backlog\":" + std::to_string(row.backlog);
-  out += ",\"p50_rounds\":" + std::to_string(row.p50_rounds);
-  out += ",\"p99_rounds\":" + std::to_string(row.p99_rounds);
-  out += ",\"p999_rounds\":" + std::to_string(row.p999_rounds);
-  out += ",\"p50_us\":" + std::to_string(row.p50_us);
-  out += ",\"p99_us\":" + std::to_string(row.p99_us);
-  out += ",\"p999_us\":" + std::to_string(row.p999_us);
-  out += ",\"max_load\":" + std::to_string(row.max_load);
-  out += ",\"mean_load\":" + format_double_roundtrip(row.mean_load);
-  out += ",\"burned_servers\":" + std::to_string(row.burned_servers);
-  out += ",\"failed_servers\":" + std::to_string(row.failed_servers);
-  out += '}';
-  return out;
+  return emit_row(row);
 }
 
 ServeMetricsRow parse_serve_metrics_row(const std::string& line) {
-  JsonCursor cursor(line);
-  ServeMetricsRow row;
-  cursor.expect('{');
-  cursor.expect_key("round");
-  row.round = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("elapsed_us");
-  row.elapsed_us = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("arrivals_per_s");
-  row.arrivals_per_s = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("injected_clients");
-  row.injected_clients = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("assigned_balls");
-  row.assigned_balls = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("backlog");
-  row.backlog = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p50_rounds");
-  row.p50_rounds = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p99_rounds");
-  row.p99_rounds = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p999_rounds");
-  row.p999_rounds = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p50_us");
-  row.p50_us = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p99_us");
-  row.p99_us = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("p999_us");
-  row.p999_us = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("max_load");
-  row.max_load = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("mean_load");
-  row.mean_load = cursor.parse_double();
-  cursor.expect(',');
-  cursor.expect_key("burned_servers");
-  row.burned_servers = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("failed_servers");
-  row.failed_servers = cursor.parse_u64();
-  cursor.expect('}');
-  cursor.expect_end();
-
-  if (row.p50_rounds > row.p99_rounds || row.p99_rounds > row.p999_rounds)
-    throw std::runtime_error("serve row: round percentiles out of order");
-  if (row.p50_us > row.p99_us || row.p99_us > row.p999_us)
-    throw std::runtime_error("serve row: microsecond percentiles out of order");
-  return row;
+  return parse_row<ServeMetricsRow>(line, "serve row");
 }
-
-namespace {
-
-/// The closed set of supervision event names (plain array: keyed lookup
-/// only, and the linter bans unordered containers under src/).
-constexpr const char* kOrchestrateEvents[] = {
-    "spawn", "restart", "exit", "stall", "chaos", "drain", "give-up", "done"};
-
-bool known_orchestrate_event(const std::string& name) {
-  for (const char* candidate : kOrchestrateEvents) {
-    if (name == candidate) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::string orchestrate_event_row_json(const OrchestrateEventRow& row) {
-  std::string out = "{\"event\":\"" + json_escape(row.event) + '"';
-  out += ",\"shard\":" + std::to_string(row.shard);
-  out += ",\"attempt\":" + std::to_string(row.attempt);
-  out += ",\"elapsed_ms\":" + std::to_string(row.elapsed_ms);
-  out += ",\"pid\":" + std::to_string(row.pid);
-  out += ",\"exit_code\":" + std::to_string(row.exit_code);
-  out += ",\"term_signal\":" + std::to_string(row.term_signal);
-  out += ",\"detail\":\"" + json_escape(row.detail) + "\"}";
-  return out;
+  return emit_row(row);
 }
 
 OrchestrateEventRow parse_orchestrate_event_row(const std::string& line) {
-  JsonCursor cursor(line);
-  OrchestrateEventRow row;
-  cursor.expect('{');
-  cursor.expect_key("event");
-  row.event = cursor.parse_string();
-  cursor.expect(',');
-  cursor.expect_key("shard");
-  row.shard = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("attempt");
-  row.attempt = cursor.parse_u32();
-  cursor.expect(',');
-  cursor.expect_key("elapsed_ms");
-  row.elapsed_ms = cursor.parse_u64();
-  cursor.expect(',');
-  cursor.expect_key("pid");
-  row.pid = cursor.parse_i64();
-  cursor.expect(',');
-  cursor.expect_key("exit_code");
-  row.exit_code = cursor.parse_i64();
-  cursor.expect(',');
-  cursor.expect_key("term_signal");
-  row.term_signal = cursor.parse_i64();
-  cursor.expect(',');
-  cursor.expect_key("detail");
-  row.detail = cursor.parse_string();
-  cursor.expect('}');
-  cursor.expect_end();
-
-  if (!known_orchestrate_event(row.event))
-    throw std::runtime_error("orchestrate row: unknown event '" + row.event +
-                             "'");
-  if (row.exit_code < -1 || row.exit_code > 255)
-    throw std::runtime_error("orchestrate row: exit_code out of range");
-  if (row.term_signal < 0 || row.term_signal > 64)
-    throw std::runtime_error("orchestrate row: term_signal out of range");
-  if (row.exit_code >= 0 && row.term_signal > 0)
-    throw std::runtime_error(
-        "orchestrate row: exit_code and term_signal are mutually exclusive");
-  return row;
+  return parse_row<OrchestrateEventRow>(line, "orchestrate row");
 }
 
 SweepJsonl read_sweep_jsonl(std::istream& is, const JsonlReadOptions& options) {

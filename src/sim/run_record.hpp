@@ -29,9 +29,13 @@
 // Sweep JSONL rows
 // ----------------
 // The sweep scheduler streams one SweepRunRow JSON object per replication
-// (see sweep.hpp).  Emitter and parser live together in this module so the
-// field names, field order, and escaping cannot drift apart.  The canonical
-// row is a single line:
+// (see sweep.hpp).  run_record.cpp declares each row type once, as an
+// ordered list of (key, member) entries; the emitter, the strict parser,
+// the CSV columns/cells and the text format above all walk that one
+// declaration, so field names and order cannot drift apart.  The README's
+// example rows are pinned by the ReadmeRows test in
+// tests/test_run_record.cpp, which parses each one and re-emits it byte
+// for byte.  The canonical row is a single line:
 //
 //   {"point":P,"label":"...","replication":R,"graph_seed":G,
 //    "num_servers":N,"burned_fraction":F,"decay_rate":D,
@@ -74,6 +78,9 @@ struct RunRecord {
 };
 
 void write_run_record(std::ostream& os, const RunRecord& record);
+/// Strict read: every integer is range-checked for its field, `completed`
+/// is 0 or 1, no value carries trailing characters, and a trace shorter
+/// than its `trace_rows` header throws.  Failures are std::runtime_error.
 [[nodiscard]] RunRecord read_run_record(std::istream& is);
 
 void save_run_record(const std::string& path, const RunRecord& record);
@@ -150,7 +157,8 @@ struct ServeMetricsRow {
 /// net/orchestrator.hpp): the event log is a JSONL stream with one row per
 /// lifecycle transition of a shard subprocess, under the same strict
 /// emit/parse discipline as the sweep and serve rows (fixed key order,
-/// validated fields), so the jsonl-key-order lint rule covers it.
+/// validated fields); the README example rows round-trip through it in
+/// ReadmeRows.EveryExampleRoundTripsByteExact.
 ///
 /// `event` is one of: spawn, restart, exit, stall, chaos, drain, give-up,
 /// done.  `exit_code` is -1 unless the shard exited normally;

@@ -11,6 +11,7 @@
 
 #include "cli/commands.hpp"
 #include "graph/generators.hpp"
+#include "row_mutations.hpp"
 #include "sim/aggregate.hpp"
 #include "sim/sweep.hpp"
 #include "util/csv.hpp"
@@ -164,22 +165,31 @@ TEST(RunRowParse, RejectsMalformedRows) {
         return rec;
       }()});
   ASSERT_NO_THROW((void)parse_sweep_run_row(good));
+  const auto reject = [](const std::string& line, const std::string& what) {
+    testing::expect_rejected(parse_sweep_run_row, line, "sweep row: ", what);
+  };
 
-  EXPECT_THROW((void)parse_sweep_run_row(""), std::runtime_error);
-  EXPECT_THROW((void)parse_sweep_run_row("{"), std::runtime_error);
-  EXPECT_THROW((void)parse_sweep_run_row(good.substr(0, good.size() / 2)),
-               std::runtime_error);
-  EXPECT_THROW((void)parse_sweep_run_row(good + "x"), std::runtime_error);
-  // Reordered / renamed keys are emitter drift, not valid input.
-  std::string renamed = good;
-  renamed.replace(renamed.find("graph_seed"), 10, "graph_sEEd");
-  EXPECT_THROW((void)parse_sweep_run_row(renamed), std::runtime_error);
+  reject("", "empty line");
+  reject("{", "lone brace");
+  reject(good.substr(0, good.size() / 2), "truncated row");
+  reject(good + "x", "trailing byte");
+  // Reordered / renamed / missing keys are emitter drift, not valid input:
+  // every key of the row and of its nested run object is checked.
+  ASSERT_EQ(testing::json_keys(good).size(), 8 + run_record_columns().size());
+  for (const auto& mutation : testing::key_sequence_mutations(good))
+    reject(mutation.line, mutation.what);
   // Derived-field validation: burned_fraction must match its sources.
   std::string inconsistent = good;
   const auto at = inconsistent.find("\"burned_fraction\":0.2");
   ASSERT_NE(at, std::string::npos);
   inconsistent.replace(at, 21, "\"burned_fraction\":0.3");
-  EXPECT_THROW((void)parse_sweep_run_row(inconsistent), std::runtime_error);
+  reject(inconsistent, "burned_fraction");
+  // ...and so must work_per_ball, checked where it is read.
+  std::string wrong_work = good;
+  const auto work = wrong_work.find("\"work_per_ball\":0");
+  ASSERT_NE(work, std::string::npos);
+  wrong_work.replace(work, 17, "\"work_per_ball\":1");
+  reject(wrong_work, "work_per_ball");
 }
 
 TEST(ReadSweepJsonl, StrictModeNamesTheBadLine) {

@@ -1,12 +1,17 @@
-// Tests for run-record serialization.
+// Tests for run-record serialization: the `saer-run 1` text format, the
+// orchestrate event rows, and the README's example JSONL rows.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "row_mutations.hpp"
 #include "sim/run_record.hpp"
 
 namespace saer {
@@ -99,6 +104,26 @@ TEST(RunRecord, RejectsCorruptInput) {
   EXPECT_THROW(read_run_record(cut), std::runtime_error);
 }
 
+TEST(RunRecord, RejectsNarrowingGarbageAndUncheckedCounts) {
+  std::stringstream buffer;
+  write_run_record(buffer, sample_record());
+  const std::string good = buffer.str();
+  // Values go through the JSON rows' range-checked codec: no silent
+  // narrowing or wrap-around, 0/1 flags only, no trailing bytes, and a
+  // trace count the stream does not back is a typed error (std::bad_alloc
+  // would fail EXPECT_THROW), not an allocation.
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"d", "4294967298"}, {"d", "-1"}, {"completed", "7"},
+           {"completed", "yes"}, {"c", "2.0abc"}, {"seed", "-1"},
+           {"trace_rows", "100000000000000"}}) {
+    std::string text = good;
+    const auto begin = text.find("\n" + key + " ") + key.size() + 2;
+    text.replace(begin, text.find('\n', begin) - begin, value);
+    std::stringstream in(text);
+    EXPECT_THROW((void)read_run_record(in), std::runtime_error) << key << " " << value;
+  }
+}
+
 TEST(OrchestrateEventRowTest, JsonRoundTripIsExact) {
   OrchestrateEventRow row;
   row.event = "exit";
@@ -128,31 +153,58 @@ TEST(OrchestrateEventRowTest, ParserIsStrict) {
   row.pid = 1;
   const std::string line = orchestrate_event_row_json(row);
   EXPECT_NO_THROW(parse_orchestrate_event_row(line));
-  EXPECT_THROW(parse_orchestrate_event_row(line + " "), std::runtime_error);
-  EXPECT_THROW(parse_orchestrate_event_row(line.substr(0, line.size() - 1)),
-               std::runtime_error);
-  // Reordered/renamed keys violate the fixed-order contract.
-  std::string renamed = line;
-  const auto at = renamed.find("\"attempt\"");
-  ASSERT_NE(at, std::string::npos);
-  renamed.replace(at, 9, "\"attmept\"");
-  EXPECT_THROW(parse_orchestrate_event_row(renamed), std::runtime_error);
+  const auto reject = [](const std::string& bad_line, const std::string& what) {
+    testing::expect_rejected(parse_orchestrate_event_row, bad_line,
+                             "orchestrate row: ", what);
+  };
+  reject(line + " ", "trailing space");
+  reject(line.substr(0, line.size() - 1), "missing brace");
+  // Renamed, dropped and reordered keys violate the fixed-order contract,
+  // for every key of the row.
+  ASSERT_EQ(testing::json_keys(line).size(), 8u);
+  for (const auto& mutation : testing::key_sequence_mutations(line))
+    reject(mutation.line, mutation.what);
 
   // Semantic validation: unknown event names, impossible exit codes, and
   // a normal exit paired with a fatal signal are rejected as corrupt.
   OrchestrateEventRow bad = row;
   bad.event = "spwan";
-  EXPECT_THROW(parse_orchestrate_event_row(orchestrate_event_row_json(bad)),
-               std::runtime_error);
+  reject(orchestrate_event_row_json(bad), "unknown event");
   bad = row;
   bad.exit_code = 256;
-  EXPECT_THROW(parse_orchestrate_event_row(orchestrate_event_row_json(bad)),
-               std::runtime_error);
+  reject(orchestrate_event_row_json(bad), "exit_code range");
   bad = row;
   bad.exit_code = 0;
   bad.term_signal = 9;
-  EXPECT_THROW(parse_orchestrate_event_row(orchestrate_event_row_json(bad)),
-               std::runtime_error);
+  reject(orchestrate_event_row_json(bad), "exit_code with term_signal");
+}
+
+// Every literal JSONL example row in README.md (a line starting {") must
+// parse with the real parser for its row type and re-emit to the same
+// bytes, and each row type must have at least one example.
+TEST(ReadmeRows, EveryExampleRoundTripsByteExact) {
+  using RoundTrip = std::string (*)(const std::string&);
+  const std::vector<std::pair<std::string, RoundTrip>> types = {
+      {"{\"point\":",
+       [](const std::string& l) { return sweep_run_row_json(parse_sweep_run_row(l)); }},
+      {"{\"round\":",
+       [](const std::string& l) { return serve_metrics_row_json(parse_serve_metrics_row(l)); }},
+      {"{\"event\":", [](const std::string& l) {
+         return orchestrate_event_row_json(parse_orchestrate_event_row(l));
+       }}};
+  std::vector<int> examples(types.size(), 0);
+  std::ifstream readme(std::string(SAER_SOURCE_DIR) + "/README.md");
+  ASSERT_TRUE(readme.good());
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("{\"", 0) != 0) continue;
+    std::size_t t = 0;
+    while (t < types.size() && line.rfind(types[t].first, 0) != 0) ++t;
+    ASSERT_LT(t, types.size()) << "README row of no known type: " << line;
+    EXPECT_NO_THROW(EXPECT_EQ(types[t].second(line), line)) << line;
+    ++examples[t];
+  }
+  for (std::size_t t = 0; t < types.size(); ++t)
+    EXPECT_GE(examples[t], 1) << "README has no row starting " << types[t].first;
 }
 
 TEST(RunRecord, MissingFileThrows) {

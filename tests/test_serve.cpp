@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "row_mutations.hpp"
 #include "sim/run_record.hpp"
 
 namespace saer {
@@ -223,24 +224,23 @@ TEST(ServeMetricsRowTest, ParserIsStrict) {
   row.p99_us = 1;
   row.p999_us = 1;
   const std::string line = serve_metrics_row_json(row);
-  EXPECT_THROW(parse_serve_metrics_row(line + " "), std::runtime_error);
-  EXPECT_THROW(parse_serve_metrics_row(line.substr(0, line.size() - 1)),
-               std::runtime_error);
-  // Reordered keys are rejected (fixed-order contract).
-  std::string reordered = line;
-  const auto at = reordered.find("\"elapsed_us\"");
-  ASSERT_NE(at, std::string::npos);
-  reordered.replace(at, 12, "\"elapsed_xs\"");
-  EXPECT_THROW(parse_serve_metrics_row(reordered), std::runtime_error);
+  const auto reject = [](const std::string& bad, const std::string& what) {
+    testing::expect_rejected(parse_serve_metrics_row, bad, "serve row: ", what);
+  };
+  reject(line + " ", "trailing space");
+  reject(line.substr(0, line.size() - 1), "missing brace");
+  // Renamed, dropped and reordered keys are rejected (fixed-order
+  // contract), for every key of the row.
+  ASSERT_EQ(testing::json_keys(line).size(), 16u);
+  for (const auto& mutation : testing::key_sequence_mutations(line))
+    reject(mutation.line, mutation.what);
   // Out-of-order percentiles are rejected as corrupt.
-  EXPECT_THROW(
-      parse_serve_metrics_row(
-          "{\"round\":0,\"elapsed_us\":0,\"arrivals_per_s\":0,"
-          "\"injected_clients\":0,\"assigned_balls\":0,\"backlog\":0,"
-          "\"p50_rounds\":5,\"p99_rounds\":1,\"p999_rounds\":1,"
-          "\"p50_us\":0,\"p99_us\":0,\"p999_us\":0,\"max_load\":0,"
-          "\"mean_load\":0,\"burned_servers\":0,\"failed_servers\":0}"),
-      std::runtime_error);
+  ServeMetricsRow bad = row;
+  bad.p50_rounds = 5;
+  reject(serve_metrics_row_json(bad), "round percentiles out of order");
+  bad = row;
+  bad.p99_us = 0;
+  reject(serve_metrics_row_json(bad), "microsecond percentiles out of order");
 }
 
 }  // namespace

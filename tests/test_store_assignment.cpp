@@ -1,7 +1,7 @@
 // ProtocolParams::store_assignment = false: the memory-lean mode for
 // aggregate-only sweeps.  Every observable except `assignment` must be
-// bit-identical to a storing run, across entry points (uniform, demands,
-// sharded) and workspace reuse; the audit must refuse to run (there is
+// bit-identical to a storing run, across entry points (uniform, demands)
+// and workspace reuse; the audit must refuse to run (there is
 // nothing to audit); and the sweep scheduler must stream byte-identical
 // rows either way.
 
@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "core/engine.hpp"
-#include "core/sharded_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/sweep.hpp"
 #include "test_util.hpp"
@@ -72,23 +71,6 @@ TEST(StoreAssignment, DemandsEntryPointAndWorkspaceReuse) {
   params.store_assignment = false;
   expect_same_observables(run_protocol_demands(g, params, demands, workspace),
                           full);
-}
-
-TEST(StoreAssignment, ShardedEngineParity) {
-  // The flag must behave identically in the second, independent
-  // implementation: a lean sharded run matches a storing sharded run on
-  // every observable, and the storing one still bit-matches the engine
-  // (the cross-validation the oracle tests pin).
-  const BipartiteGraph g = testing::theorem_graph(256, 5);
-  ShardedParams params;
-  params.base.d = 2;
-  params.base.c = 1.5;
-  params.base.seed = 31;
-  params.num_shards = 3;
-  const RunResult full = run_protocol_sharded(g, params);
-  EXPECT_EQ(full.assignment, run_protocol(g, params.base).assignment);
-  params.base.store_assignment = false;
-  expect_same_observables(run_protocol_sharded(g, params), full);
 }
 
 TEST(StoreAssignment, AuditRefusesLeanRuns) {

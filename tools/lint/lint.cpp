@@ -4,7 +4,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -18,9 +17,9 @@ namespace {
 // Lexer: strip comments and string/character literals.
 //
 // Rules must never fire on prose or on literal data (the JSONL emitters are
-// *made of* strings containing banned-looking tokens), so every rule except
-// jsonl-key-order runs on a "code view" where literal contents and comments
-// are blanked with spaces.  Comment text is kept separately, per line, so
+// *made of* strings containing banned-looking tokens), so every rule runs
+// on a "code view" where literal contents and comments are blanked with
+// spaces.  Comment text is kept separately, per line, so
 // the suppression parser can read it.
 
 struct Scrubbed {
@@ -337,72 +336,6 @@ void check_unordered(const std::string& path, const Scrubbed& file,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: jsonl-key-order.  Operates on RAW lines: the keys live inside the
-// string literals the other rules blank out.
-
-struct EmitEvent {
-  std::size_t pos = 0;
-  bool is_call = false;
-  std::string text;  // key name, or callee function name
-  std::size_t line = 0;
-};
-
-struct FnBody {
-  std::size_t first_line = 0;
-  std::vector<EmitEvent> events;      // emit-side keys + nested calls
-  std::vector<EmitEvent> parse_keys;  // expect_key("...") sites
-};
-
-// `\"key\":` inside a C++ string literal of an emitter.
-void scan_emit_keys(const std::string& line, std::size_t ln,
-                    std::vector<EmitEvent>& events) {
-  for (std::size_t i = 0; i + 4 < line.size(); ++i) {
-    if (line[i] != '\\' || line[i + 1] != '"') continue;
-    std::size_t j = i + 2;
-    std::size_t start = j;
-    while (j < line.size() && ident_char(line[j])) ++j;
-    if (j == start) continue;
-    if (j + 2 < line.size() && line[j] == '\\' && line[j + 1] == '"' &&
-        line[j + 2] == ':') {
-      events.push_back({i, false, line.substr(start, j - start), ln});
-      i = j + 2;
-    }
-  }
-}
-
-void scan_parse_keys(const std::string& line, std::size_t ln,
-                     std::vector<EmitEvent>& keys) {
-  const std::string pat = "expect_key(\"";
-  for (std::size_t i = line.find(pat); i != std::string::npos;
-       i = line.find(pat, i + 1)) {
-    const std::size_t start = i + pat.size();
-    const std::size_t end = line.find('"', start);
-    if (end != std::string::npos)
-      keys.push_back({i, false, line.substr(start, end - start), ln});
-  }
-}
-
-std::vector<EmitEvent> flatten_emit(
-    const std::string& fn, const std::map<std::string, FnBody>& fns,
-    std::set<std::string>& visiting) {
-  std::vector<EmitEvent> out;
-  if (!visiting.insert(fn).second) return out;  // cycle guard
-  const auto it = fns.find(fn);
-  if (it != fns.end()) {
-    for (const EmitEvent& ev : it->second.events) {
-      if (!ev.is_call) {
-        out.push_back(ev);
-      } else {
-        const auto nested = flatten_emit(ev.text, fns, visiting);
-        out.insert(out.end(), nested.begin(), nested.end());
-      }
-    }
-  }
-  visiting.erase(fn);
-  return out;
-}
-
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream is(text);
@@ -413,168 +346,14 @@ std::vector<std::string> split_lines(const std::string& text) {
 
 }  // namespace
 
-std::vector<Diagnostic> lint_jsonl_contract(
-    const std::string& run_record_path, const std::string& run_record_content,
-    const std::string& readme_path, const std::string& readme_content) {
-  std::vector<Diagnostic> out;
-  const std::vector<std::string> lines = split_lines(run_record_content);
-
-  // Pass 1: attribute emit/parse key sites to top-level functions.  A
-  // top-level function header starts at column 0 and contains '('; the
-  // function name is the last identifier before it.
-  std::map<std::string, FnBody> fns;
-  std::string current;
-  for (std::size_t ln = 0; ln < lines.size(); ++ln) {
-    const std::string& line = lines[ln];
-    if (!line.empty() &&
-        (std::isalpha(static_cast<unsigned char>(line[0])) || line[0] == '_')) {
-      const std::size_t paren = line.find('(');
-      if (paren != std::string::npos) {
-        std::size_t end = paren;
-        while (end > 0 && line[end - 1] == ' ') --end;
-        std::size_t start = end;
-        while (start > 0 && ident_char(line[start - 1])) --start;
-        if (end > start) {
-          current = line.substr(start, end - start);
-          fns[current].first_line = ln + 1;
-        }
-      }
-    }
-    if (current.empty()) continue;
-    const std::string lead = trim(line.substr(0, line.find_first_not_of(' ') +
-                                                     2));
-    if (starts_with(lead, "//") || starts_with(lead, "*")) continue;
-    scan_emit_keys(line, ln + 1, fns[current].events);
-    scan_parse_keys(line, ln + 1, fns[current].parse_keys);
-  }
-
-  // Pass 2: record nested emitter calls (`other_json(` inside an emitter).
-  std::vector<std::string> emit_names;
-  for (const auto& [name, body] : fns)
-    if (!body.events.empty() && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, "_json") == 0)
-      emit_names.push_back(name);
-  for (const std::string& name : emit_names) {
-    FnBody& body = fns[name];
-    std::map<std::size_t, std::vector<EmitEvent>> by_line;
-    for (EmitEvent& ev : body.events) by_line[ev.line].push_back(ev);
-    std::vector<EmitEvent> merged;
-    std::set<std::size_t> seen_lines;
-    for (const EmitEvent& ev : body.events) {
-      if (!seen_lines.insert(ev.line).second) continue;
-      const std::string& raw = lines[ev.line - 1];
-      std::vector<EmitEvent> line_events = by_line[ev.line];
-      for (const std::string& callee : emit_names) {
-        if (callee == name) continue;
-        const std::size_t at = raw.find(callee + "(");
-        if (at != std::string::npos)
-          line_events.push_back({at, true, callee, ev.line});
-      }
-      std::sort(line_events.begin(), line_events.end(),
-                [](const EmitEvent& a, const EmitEvent& b) {
-                  return a.pos < b.pos;
-                });
-      merged.insert(merged.end(), line_events.begin(), line_events.end());
-    }
-    body.events = std::move(merged);
-  }
-
-  // Pass 3: pair parse_X with X_json and compare key-for-key.
-  bool any_pair = false;
-  std::vector<std::pair<std::string, std::vector<EmitEvent>>> flattened;
-  for (const auto& [name, body] : fns) {
-    if (body.parse_keys.empty() || !starts_with(name, "parse_")) continue;
-    const std::string emit_fn = name.substr(6) + "_json";
-    const auto emit_it = fns.find(emit_fn);
-    if (emit_it == fns.end() || emit_it->second.events.empty()) continue;
-    any_pair = true;
-    std::set<std::string> visiting;
-    const std::vector<EmitEvent> emit_keys =
-        flatten_emit(emit_fn, fns, visiting);
-    flattened.emplace_back(emit_fn, emit_keys);
-    const std::vector<EmitEvent>& parse_keys = body.parse_keys;
-    const std::size_t n = std::min(emit_keys.size(), parse_keys.size());
-    for (std::size_t i = 0; i <= n; ++i) {
-      const bool emit_done = i >= emit_keys.size();
-      const bool parse_done = i >= parse_keys.size();
-      if (emit_done && parse_done) break;
-      if (emit_done || parse_done || emit_keys[i].text != parse_keys[i].text) {
-        const std::size_t at =
-            parse_done ? parse_keys.back().line : parse_keys[i].line;
-        out.push_back(
-            {"jsonl-key-order", run_record_path, at,
-             "emitter " + emit_fn + " and parser " + name +
-                 " disagree at key #" + std::to_string(i + 1) + ": emits [" +
-                 (emit_done ? "<end>" : emit_keys[i].text) + "], parses [" +
-                 (parse_done ? "<end>" : parse_keys[i].text) + "]"});
-        break;
-      }
-    }
-  }
-  if (!any_pair) {
-    out.push_back({"jsonl-key-order", run_record_path, 1,
-                   "found no emitter/parser pair (X_json / parse_X) -- the "
-                   "key-order contract extraction no longer matches the "
-                   "code; update tools/lint"});
-  }
-
-  // Pass 4: every literal JSONL example row in the README must match one
-  // emitter's key sequence, and each paired emitter must have an example.
-  if (!readme_content.empty()) {
-    std::set<std::string> matched_fns;
-    const std::vector<std::string> readme = split_lines(readme_content);
-    for (std::size_t ln = 0; ln < readme.size(); ++ln) {
-      const std::string line = trim(readme[ln]);
-      if (!starts_with(line, "{\"")) continue;
-      if (line.find("...") != std::string::npos) continue;
-      std::vector<std::string> keys;
-      for (std::size_t i = 0; i + 2 < line.size(); ++i) {
-        if (line[i] != '"') continue;
-        std::size_t j = i + 1;
-        while (j < line.size() && ident_char(line[j])) ++j;
-        if (j > i + 1 && j + 1 < line.size() && line[j] == '"' &&
-            line[j + 1] == ':') {
-          keys.push_back(line.substr(i + 1, j - i - 1));
-          i = j + 1;
-        }
-      }
-      bool ok = false;
-      for (const auto& [fn, emit_keys] : flattened) {
-        if (keys.size() != emit_keys.size()) continue;
-        bool same = true;
-        for (std::size_t i = 0; i < keys.size(); ++i)
-          same = same && keys[i] == emit_keys[i].text;
-        if (same) {
-          ok = true;
-          matched_fns.insert(fn);
-        }
-      }
-      if (!ok) {
-        out.push_back({"jsonl-key-order", readme_path, ln + 1,
-                       "JSONL example row does not match any emitter's key "
-                       "sequence -- README and src/sim/run_record.cpp have "
-                       "drifted"});
-      }
-    }
-    for (const auto& [fn, emit_keys] : flattened) {
-      if (!matched_fns.count(fn)) {
-        out.push_back({"jsonl-key-order", readme_path, 1,
-                       "README has no example JSONL row for emitter " + fn +
-                           " (add one; the linter cross-checks its keys)"});
-      }
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Suppressions.
 
 const std::vector<std::string>& known_rules() {
   static const std::vector<std::string> kRules = {
-      "banned-rng",     "banned-clock",    "no-atomic",
-      "unordered-iter", "jsonl-key-order", "bad-suppression",
-      "bad-allowlist",  "unused-allowlist"};
+      "banned-rng",      "banned-clock",  "no-atomic",
+      "unordered-iter",  "bad-suppression", "bad-allowlist",
+      "unused-allowlist"};
   return kRules;
 }
 
@@ -788,13 +567,6 @@ TreeReport lint_tree(const std::string& root,
     ++report.files_scanned;
     auto diags = lint_source(rel, content);
     diagnostics.insert(diagnostics.end(), diags.begin(), diags.end());
-    if (rel == "src/sim/run_record.cpp") {
-      std::string readme;
-      if (fs::exists(base / "README.md")) readme = read_file(base / "README.md");
-      auto contract =
-          lint_jsonl_contract(rel, content, "README.md", readme);
-      diagnostics.insert(diagnostics.end(), contract.begin(), contract.end());
-    }
   }
 
   std::vector<AllowEntry> entries;

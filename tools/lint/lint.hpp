@@ -3,13 +3,14 @@
 //
 // The engine's correctness story rests on invariants that ordinary
 // compilers do not check: results must be a pure function of
-// (graph, params) for any thread count, the engine core must stay
-// atomic-free, and the JSONL emitters must never drift from their
-// strict fixed-key-order parsers.  Runtime tests catch a violation
-// after it ships a nondeterministic path; this tool catches it at the
-// line where it is written.  It is deliberately token/line-level (no
-// libclang): comments and string/character literals are stripped by a
-// small lexer, then each rule pattern-matches the remaining code.
+// (graph, params) for any thread count, and the engine core must stay
+// atomic-free.  Runtime tests catch a violation after it ships a
+// nondeterministic path; this tool catches it at the line where it is
+// written.  (The JSONL rows need no rule: src/sim/run_record.cpp declares
+// each row once, and a test round-trips the README's example rows.)  It
+// is deliberately token/line-level (no libclang): comments and
+// string/character literals are stripped by a small lexer, then each rule
+// pattern-matches the remaining code.
 //
 // Rules (ids are stable; tests and suppressions reference them):
 //
@@ -28,11 +29,6 @@
 //                   unspecified iteration order must never reach an
 //                   emit/result path.  Keyed-lookup-only uses stay
 //                   legal via a justified allowlist entry.
-//   jsonl-key-order the fixed key sequences of the JSONL emitters in
-//                   src/sim/run_record.cpp (sweep run rows, serve
-//                   metrics rows) must match their strict parsers
-//                   key-for-key, and every JSONL example row in
-//                   README.md must match an emitter's sequence.
 //   bad-suppression malformed `// saer-lint: allow(rule) -- reason`
 //                   comment (unknown rule id or missing reason).
 //   bad-allowlist   malformed allowlist line (unknown rule, missing
@@ -79,15 +75,6 @@ const std::vector<std::string>& known_rules();
 std::vector<Diagnostic> lint_source(const std::string& path,
                                     const std::string& content);
 
-/// The jsonl-key-order rule: cross-checks the emit and parse key
-/// sequences of src/sim/run_record.cpp against each other and the
-/// README's literal JSONL example rows.  Pass an empty `readme_content`
-/// to skip the README half (used when linting an explicit file list).
-std::vector<Diagnostic> lint_jsonl_contract(const std::string& run_record_path,
-                                            const std::string& run_record_content,
-                                            const std::string& readme_path,
-                                            const std::string& readme_content);
-
 /// Parses allowlist content; malformed lines become bad-allowlist
 /// diagnostics attributed to `path`.
 std::vector<AllowEntry> parse_allowlist(const std::string& path,
@@ -103,8 +90,7 @@ struct TreeReport {
   std::size_t files_scanned = 0;
 };
 
-/// Walks `root` (default scope: src/, tests/, bench/, tools/, plus the
-/// jsonl contract over src/sim/run_record.cpp + README.md) or, when
+/// Walks `root` (default scope: src/, tests/, bench/, tools/) or, when
 /// `paths` is non-empty, exactly those repo-relative files.  Applies
 /// the allowlist at root/tools/lint/allowlist.txt when present.
 /// Unused-allowlist entries are reported only for full-tree runs.
