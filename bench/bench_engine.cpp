@@ -13,6 +13,7 @@
 #include "baselines/sequential_greedy.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "graph/implicit_topology.hpp"
 #include "net/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "util/parallel.hpp"
@@ -150,6 +151,28 @@ BENCHMARK(BM_SaerRunImplicit)
     ->ArgsProduct({{1 << 20, 1 << 22}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// The rowgen layer under every implicit run: one Floyd row regeneration
+// (ImplicitRegularTopology::neighbors) per iteration at n=2^22, so the
+// reported time is ns per row.  Delta=16 is the engine rows' degree;
+// Delta=484 = log2(n)^2 is the Theorem 1 degree at this n, where the
+// sorted placement's O(Delta^2) element moves dominate the Delta draws.
+void BM_ImplicitNeighbors(benchmark::State& state) {
+  constexpr NodeId n = NodeId{1} << 22;
+  const ImplicitRegularTopology topo(
+      n, static_cast<std::uint32_t>(state.range(0)), 7);
+  std::vector<NodeId> row;
+  NodeId v = 0;
+  for (auto _ : state) {
+    topo.neighbors(v, row);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+    v = (v + 1) & (n - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ImplicitNeighbors)->Arg(16)->Arg(484)
+    ->Unit(benchmark::kNanosecond);
 
 // The memory-lean mode at the same shapes: the delta to BM_SaerRunLargeN
 // is the cost of materializing (and filling) the O(n*d) assignment vector.

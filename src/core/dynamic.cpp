@@ -31,7 +31,7 @@ struct ImplicitStepSampler {
   const CounterRng* rng;
   FastDiv32 by_d;
   std::uint32_t round;
-  std::vector<NodeId> row;
+  std::vector<NodeId> row{};
   NodeId cached_v = kUnassigned;
   std::array<NodeId, kScatterPipeline> ring{};
 

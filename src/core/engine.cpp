@@ -71,12 +71,15 @@ bool needs_wide_recv_total(const ProtocolParams& params) {
 //                   row addresses (`base + k`).
 //   ImplicitSource  wraps an ImplicitRegularTopology; a client's row is
 //                   regenerated on demand (O(Delta) counter-RNG draws, no
-//                   edge arrays) into a per-chunk workspace buffer, and --
-//                   because scatter_count dereferences an addr_of result up
-//                   to kScatterPipeline calls later, after the buffer may
-//                   hold a different client's row -- the sampled server is
-//                   resolved immediately and parked in a pipeline-deep ring
-//                   whose slot is what the scatter dereferences.
+//                   edge arrays) into a row buffer the cursor owns -- one
+//                   per chunk, since scatter_count copies the sampler per
+//                   chunk, so concurrent chunks never write a shared cache
+//                   line.  Because scatter_count dereferences an addr_of
+//                   result up to kScatterPipeline calls later, after the
+//                   row may hold a different client's neighbors, the
+//                   sampled server is resolved immediately and parked in a
+//                   pipeline-deep ring whose slot is what the scatter
+//                   dereferences.
 //
 // Both expose the same cursor shape (load a client, address draw k), so
 // run_rounds instantiates once per source and the instruction stream of
@@ -101,7 +104,7 @@ struct StoredSource {
     const NodeId* base = nullptr;
     std::uint32_t deg = 0;
 
-    void load(NodeId v, std::size_t /*pos*/) {
+    void load(NodeId v) {
       const auto nb = g->client_neighbors(v);
       base = nb.data();
       deg = static_cast<std::uint32_t>(nb.size());
@@ -111,9 +114,7 @@ struct StoredSource {
       return base + k;
     }
   };
-  [[nodiscard]] Cursor cursor(const ScatterLayout&, EngineWorkspace&) const {
-    return Cursor{&graph};
-  }
+  [[nodiscard]] Cursor cursor() const { return Cursor{&graph}; }
 
   /// deep_scan row access (invoked from parallel_reduce workers).
   [[nodiscard]] std::span<const NodeId> scan_row(NodeId v) const {
@@ -127,37 +128,31 @@ struct ImplicitSource {
   [[nodiscard]] NodeId num_clients() const { return topo.num_clients(); }
   [[nodiscard]] NodeId num_servers() const { return topo.num_servers(); }
 
-  /// Regenerating cursor.  scatter_count copies its sampler per chunk and
-  /// feeds each copy its chunk's positions in ascending order, so the copy
-  /// binds to its chunk's workspace row buffer on first use (ci = pos /
-  /// chunk_size) -- concurrent chunks never share a buffer, and reuse
-  /// across rounds/runs means steady-state regeneration allocates nothing.
+  /// Regenerating cursor that owns its row buffer.  scatter_count copies
+  /// its sampler once per chunk, so every chunk regenerates into a row --
+  /// vector header and storage -- that no other worker writes: concurrent
+  /// chunks share no cache line, and the copy's first load allocates the
+  /// row once per chunk and round.
   struct Cursor {
     const ImplicitRegularTopology* topo;
-    std::vector<NodeId>* rows;    ///< ws.implicit_rows.data()
-    std::size_t chunk_size;
-    std::vector<NodeId>* row = nullptr;  ///< this copy's chunk buffer
+    std::vector<NodeId> row{};
     std::uint32_t deg = 0;
     /// Resolved samples, kScatterPipeline deep (see core/scatter.hpp): a
     /// slot is overwritten only after every dereference of its previous
     /// occupant has happened.
-    std::array<NodeId, kScatterPipeline> ring;
+    std::array<NodeId, kScatterPipeline> ring{};
 
-    void load(NodeId v, std::size_t pos) {
-      if (row == nullptr) row = rows + pos / chunk_size;
-      topo->neighbors(v, *row);
+    void load(NodeId v) {
+      topo->neighbors(v, row);
       deg = topo->degree();
     }
     [[nodiscard]] const NodeId* addr(std::size_t pos, std::uint64_t k) {
       NodeId& slot = ring[pos % kScatterPipeline];
-      slot = (*row)[k];
+      slot = row[k];
       return &slot;
     }
   };
-  [[nodiscard]] Cursor cursor(const ScatterLayout& layout,
-                              EngineWorkspace& ws) const {
-    return Cursor{&topo, ws.implicit_rows.data(), layout.chunk_size};
-  }
+  [[nodiscard]] Cursor cursor() const { return Cursor{&topo}; }
 
   /// deep_scan row access: regenerates into a per-thread scratch row (the
   /// reduction lambdas are shared by-ref across team workers, so per-call
@@ -203,11 +198,11 @@ struct UniformRound1Sampler {
       primed = true;
       v = static_cast<NodeId>(i / d);
       used = static_cast<std::uint32_t>(i - static_cast<std::uint64_t>(v) * d);
-      cursor.load(v, i);
+      cursor.load(v);
     } else if (used == d) {
       ++v;
       used = 0;
-      cursor.load(v, i);
+      cursor.load(v);
     }
     ++used;
     return cursor.addr(i, rng.bounded(i, 1, cursor.deg));
@@ -361,13 +356,13 @@ RunResult run_rounds(const Source& source, const ProtocolParams& params,
     // back), so the cursor load is paid once per client, not per ball.
     // Pure caching: the draws and targets are unchanged.
     const auto sample_addr =
-        [&, cursor = source.cursor(layout, ws),
+        [&, cursor = source.cursor(),
          cached_v = kUnassigned](std::size_t i) mutable {
           const BallId b = ball_at(i);
           const NodeId v = ball_client(b);
           if (v != cached_v) {
             cached_v = v;
-            cursor.load(v, i);
+            cursor.load(v);
           }
           return cursor.addr(i, rng.bounded(b, round, cursor.deg));
         };
@@ -454,8 +449,7 @@ RunResult run_rounds(const Source& source, const ProtocolParams& params,
     };
     if constexpr (std::is_same_v<BallClient, UniformBallClient>) {
       if (round == 1) {
-        scatter_round(
-            UniformRound1Sampler{rng, params.d, source.cursor(layout, ws)});
+        scatter_round(UniformRound1Sampler{rng, params.d, source.cursor()});
       } else {
         scatter_round(sample_addr);
       }

@@ -29,8 +29,6 @@ void EngineWorkspace::prepare_round(const ScatterLayout& layout) {
   if (block_stats.size() < layout.n_blocks) block_stats.resize(layout.n_blocks);
   if (alive_chunks.size() < layout.n_chunks)
     alive_chunks.resize(layout.n_chunks);
-  if (implicit_rows.size() < layout.n_chunks)
-    implicit_rows.resize(layout.n_chunks);
 }
 
 ThreadTeam* EngineWorkspace::team(int threads) {

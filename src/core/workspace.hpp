@@ -113,13 +113,6 @@ struct EngineWorkspace {
   std::vector<std::vector<NodeId>> dirty_blocks;
   std::vector<RoundBlockStats> block_stats;
   std::vector<std::vector<BallId>> alive_chunks;  ///< per-chunk survivors
-  /// implicit_rows[ci]: chunk ci's regenerated-neighborhood buffer for
-  /// implicit-topology runs (the ImplicitSource cursors in core/engine.cpp
-  /// bind to their chunk's slot lazily).  One buffer per scatter chunk so
-  /// concurrent chunk tasks never share a row; capacity persists across
-  /// rounds and runs, so steady-state regeneration allocates nothing.
-  /// Unused (and empty) for stored-graph runs.
-  std::vector<std::vector<NodeId>> implicit_rows;
 
  private:
   std::unique_ptr<ThreadTeam> team_;  ///< see team()

@@ -1,7 +1,9 @@
 #pragma once
 // Immutable bipartite client-server graph in CSR form, stored in both
-// orientations: the protocol's Phase 1 samples from client adjacency, while
-// the deep-trace metrics (r_t(N(v)), S_t(v)) scan server adjacency.
+// orientations.  The engine reads only client adjacency: Phase 1 samples
+// from it, and the deep-trace metrics (r_t(N(v)), S_t(v)) walk client rows
+// too.  Server adjacency serves the graph analyses (spectral, degree
+// statistics, subgraphs, the configuration model, `saer stats`).
 //
 // Node ids are 32-bit and local to each side: clients are 0..num_clients-1,
 // servers are 0..num_servers-1.  This matches the paper's model where nodes

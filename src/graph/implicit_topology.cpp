@@ -1,6 +1,6 @@
 #include "graph/implicit_topology.hpp"
 
-#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -19,22 +19,44 @@ ImplicitRegularTopology::ImplicitRegularTopology(NodeId n, std::uint32_t delta,
 
 void ImplicitRegularTopology::neighbors(NodeId v,
                                         std::vector<NodeId>& out) const {
-  out.clear();
-  out.reserve(delta_);
   // Floyd's subset-sampling algorithm: for j = n - Delta .. n - 1 draw
   // t uniform in [0, j] and insert t, falling back to j itself on a
   // collision.  Exactly Delta draws at the fixed coordinates (v, j), so
   // regeneration is stateless and repeatable; every value already present
   // when j is processed came from an earlier iteration and is <= j - 1, so
-  // the fallback j always appends at the end and the row stays sorted.
-  for (std::uint64_t j = n_ - delta_; j < n_; ++j) {
-    const auto t = static_cast<NodeId>(rng_.bounded(v, j, j + 1));
-    const auto it = std::lower_bound(out.begin(), out.end(), t);
-    if (it != out.end() && *it == t) {
-      out.push_back(static_cast<NodeId>(j));
-    } else {
-      out.insert(it, t);
+  // the fallback j always lands at the end and the row stays sorted.
+  //
+  // The draws do not depend on the set, so they are all taken first into
+  // out[0, Delta) (independent multiplies the core can overlap), and then
+  // placed in order: when draw i is placed, out[0, i) is the sorted set so
+  // far and out[i] is draw i itself, which the shift overwrites only after
+  // it has been read.  Same rule, same bytes as inserting draw by draw.
+  out.resize(delta_);
+  NodeId* const row = out.data();
+  const std::uint64_t j0 = n_ - delta_;
+  for (std::uint32_t i = 0; i < delta_; ++i) {
+    const std::uint64_t j = j0 + i;
+    row[i] = static_cast<NodeId>(rng_.bounded(v, j, j + 1));
+  }
+  for (std::uint32_t i = 1; i < delta_; ++i) {
+    const NodeId t = row[i];
+    // Branch-free lower_bound of t in row[0, i): the halving step is a
+    // conditional move, so unpredictable comparisons cost no mispredicts.
+    const NodeId* base = row;
+    std::uint32_t len = i;
+    while (len > 1) {
+      const std::uint32_t half = len / 2;
+      base = base[half] < t ? base + half : base;
+      len -= half;
     }
+    auto pos = static_cast<std::uint32_t>(base - row) + (*base < t ? 1 : 0);
+    // A collision (t already present; pos < i, since row[i] is t itself)
+    // places j at the end, where it sorts; otherwise shift and insert.
+    const bool collision = pos < i && row[pos] == t;
+    const NodeId value = collision ? static_cast<NodeId>(j0 + i) : t;
+    if (collision) pos = i;
+    std::memmove(row + pos + 1, row + pos, (i - pos) * sizeof(NodeId));
+    row[pos] = value;
   }
 }
 

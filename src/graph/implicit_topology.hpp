@@ -47,9 +47,14 @@ class ImplicitRegularTopology {
 
   /// Regenerates client v's neighborhood into `out`: exactly degree()
   /// distinct server ids, sorted ascending -- the same row, byte for byte,
-  /// that materialize()'s CSR stores for v.  O(Delta) RNG draws (Floyd's
-  /// sampling algorithm, one bounded draw per element) plus the sorted
-  /// insertions; `out` is clear()ed first and only grows to Delta.
+  /// that materialize()'s CSR stores for v.  Cost: Delta independent RNG
+  /// draws (Floyd's sampling algorithm, one bounded draw per element),
+  /// then Delta placements, each a branch-free binary search plus a
+  /// memmove of the larger elements -- O(Delta log Delta) compares and
+  /// O(Delta^2) element moves: BM_ImplicitNeighbors measures about 0.5 us
+  /// per row at Delta = 16 and 25 us at Delta = 484 (n = 2^22, one core of
+  /// a 4-vCPU Xeon VM).  `out` is resized to exactly Delta whatever it
+  /// held; no allocation once its capacity reaches Delta.
   void neighbors(NodeId v, std::vector<NodeId>& out) const;
 
   /// The stored twin: the exact BipartiteGraph whose client rows equal

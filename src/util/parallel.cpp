@@ -10,6 +10,7 @@ namespace {
 std::atomic<int> g_threads{0};
 std::atomic<int> g_intra_run_cap{0};
 
+#if !defined(SAER_HAVE_OPENMP)
 /// OMP_NUM_THREADS parsed by hand for non-OpenMP builds, so benchmark
 /// recipes pin the engine identically in every build flavor.
 int env_thread_override() noexcept {
@@ -23,6 +24,7 @@ int env_thread_override() noexcept {
   }
   return value;
 }
+#endif
 
 thread_local ThreadTeam* t_active_team = nullptr;
 }  // namespace

@@ -51,8 +51,10 @@ TEST(GammaSequence, Lemma12PrefixProductsDecayGeometrically) {
         << "t=" << t;
     // Direct statement of Lemma 12: prod_{j<t} gamma_j <= alpha^{-t} for
     // t >= 2 (gamma_0 = 1 costs one factor at t = 1).
-    if (t >= 2)
-      EXPECT_LE(prod[t], std::pow(alpha, -(static_cast<double>(t) - 1.0)) + 1e-15);
+    if (t >= 2) {
+      EXPECT_LE(prod[t],
+                std::pow(alpha, -(static_cast<double>(t) - 1.0)) + 1e-15);
+    }
   }
 }
 
@@ -121,7 +123,7 @@ TEST(AdmissibleC, MatchesLemmaConstants) {
   EXPECT_DOUBLE_EQ(admissible_c(1.0, 1.0, 1), 288.0);      // 288 dominates
   EXPECT_DOUBLE_EQ(admissible_c(1.0, 2.0, 9), 64.0);       // 32*rho
   EXPECT_DOUBLE_EQ(admissible_c(9.0, 1.0, 1), 32.0);       // 288/9 = 32
-  EXPECT_THROW(admissible_c(0.0, 1.0, 1), std::invalid_argument);
+  EXPECT_THROW((void)admissible_c(0.0, 1.0, 1), std::invalid_argument);
 }
 
 TEST(AnalysisHorizon, ThreeLogN) {

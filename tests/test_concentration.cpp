@@ -24,10 +24,10 @@ TEST(Chernoff, LowerBoundMatchesFormula) {
 }
 
 TEST(Chernoff, RejectsBadEps) {
-  EXPECT_THROW(chernoff_upper_bound(10.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(chernoff_upper_bound(10.0, 1.5), std::invalid_argument);
-  EXPECT_THROW(chernoff_upper_bound(-1.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(chernoff_lower_bound(10.0, 2.0), std::invalid_argument);
+  EXPECT_THROW((void)chernoff_upper_bound(10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)chernoff_upper_bound(10.0, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)chernoff_upper_bound(-1.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)chernoff_lower_bound(10.0, 2.0), std::invalid_argument);
 }
 
 TEST(Chernoff, MonotoneInMuAndEps) {
@@ -39,18 +39,19 @@ TEST(BoundedDifferences, MatchesTheorem17Form) {
   // m = 100 coordinates, beta = 2, M = 20: exp(-2*400/(100*4)) = exp(-2).
   EXPECT_DOUBLE_EQ(bounded_differences_bound(100, 2.0, 20.0), std::exp(-2.0));
   EXPECT_DOUBLE_EQ(bounded_differences_bound(100, 2.0, 0.0), 1.0);
-  EXPECT_THROW(bounded_differences_bound(0, 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)bounded_differences_bound(0, 1.0, 1.0),
+               std::invalid_argument);
 }
 
 TEST(UnionBound, ClampsAtOne) {
   EXPECT_DOUBLE_EQ(union_bound(10, 0.01), 0.1);
   EXPECT_DOUBLE_EQ(union_bound(1000, 0.01), 1.0);
-  EXPECT_THROW(union_bound(-1, 0.1), std::invalid_argument);
+  EXPECT_THROW((void)union_bound(-1, 0.1), std::invalid_argument);
 }
 
 TEST(WhpBudget, FootnoteSixConvention) {
   EXPECT_DOUBLE_EQ(whp_failure_budget(100, 2.0), 1e-4);
-  EXPECT_THROW(whp_failure_budget(0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)whp_failure_budget(0, 1.0), std::invalid_argument);
 }
 
 TEST(Wilson, CoversTrueFrequency) {
@@ -67,7 +68,7 @@ TEST(Wilson, EdgeCases) {
   EXPECT_GE(zero.lower(), 0.0 - 1e-12);
   const WilsonInterval all = wilson_interval(100, 100);
   EXPECT_LE(all.upper(), 1.0 + 1e-12);
-  EXPECT_THROW(wilson_interval(5, 4), std::invalid_argument);
+  EXPECT_THROW((void)wilson_interval(5, 4), std::invalid_argument);
   const WilsonInterval none = wilson_interval(0, 0);
   EXPECT_DOUBLE_EQ(none.lower(), 0.0);
   EXPECT_DOUBLE_EQ(none.upper(), 1.0);

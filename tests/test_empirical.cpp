@@ -65,18 +65,20 @@ TEST(MinC, ThrowsWhenTargetUnreachable) {
   opt.c_low = 0.1;
   opt.c_high = 0.4;  // capacity < d: infeasible
   opt.max_rounds = 20;
-  EXPECT_THROW(find_min_c(regular_builder(64), opt), std::runtime_error);
+  EXPECT_THROW((void)find_min_c(regular_builder(64), opt), std::runtime_error);
 }
 
 TEST(MinC, RejectsBadOptions) {
   MinCOptions opt;
   opt.c_low = 4.0;
   opt.c_high = 2.0;
-  EXPECT_THROW(find_min_c(regular_builder(32), opt), std::invalid_argument);
+  EXPECT_THROW((void)find_min_c(regular_builder(32), opt),
+               std::invalid_argument);
   opt.c_low = 1.0;
   opt.c_high = 2.0;
   opt.target_success = 0.0;
-  EXPECT_THROW(find_min_c(regular_builder(32), opt), std::invalid_argument);
+  EXPECT_THROW((void)find_min_c(regular_builder(32), opt),
+               std::invalid_argument);
 }
 
 TEST(ChiSquare, StatisticMatchesHandComputation) {
@@ -84,9 +86,11 @@ TEST(ChiSquare, StatisticMatchesHandComputation) {
   const std::vector<double> exp{10, 10};
   EXPECT_DOUBLE_EQ(chi_square_statistic(obs, exp), 0.8);
   const std::vector<double> short_exp{10};
-  EXPECT_THROW(chi_square_statistic(obs, short_exp), std::invalid_argument);
+  EXPECT_THROW((void)chi_square_statistic(obs, short_exp),
+               std::invalid_argument);
   const std::vector<double> zero_exp{10, 0};
-  EXPECT_THROW(chi_square_statistic(obs, zero_exp), std::invalid_argument);
+  EXPECT_THROW((void)chi_square_statistic(obs, zero_exp),
+               std::invalid_argument);
 }
 
 TEST(ChiSquare, PValueKnownQuantiles) {
@@ -96,7 +100,7 @@ TEST(ChiSquare, PValueKnownQuantiles) {
   EXPECT_NEAR(chi_square_p_value(2.706, 1), 0.10, 0.002);
   EXPECT_DOUBLE_EQ(chi_square_p_value(0.0, 5), 1.0);
   EXPECT_LT(chi_square_p_value(100.0, 3), 1e-15);
-  EXPECT_THROW(chi_square_p_value(1.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)chi_square_p_value(1.0, 0), std::invalid_argument);
 }
 
 TEST(ChiSquare, UniformityAcceptsUniformRejectsSkewed) {
@@ -104,7 +108,7 @@ TEST(ChiSquare, UniformityAcceptsUniformRejectsSkewed) {
   EXPECT_GT(uniformity_p_value(uniform), 0.5);
   const std::vector<std::uint64_t> skewed{500, 10, 10, 10, 10};
   EXPECT_LT(uniformity_p_value(skewed), 1e-10);
-  EXPECT_THROW(uniformity_p_value(std::vector<std::uint64_t>{5}),
+  EXPECT_THROW((void)uniformity_p_value(std::vector<std::uint64_t>{5}),
                std::invalid_argument);
   const std::vector<std::uint64_t> empty_counts{0, 0};
   EXPECT_DOUBLE_EQ(uniformity_p_value(empty_counts), 1.0);

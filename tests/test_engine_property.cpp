@@ -79,7 +79,9 @@ TEST_P(ProtocolProperties, InvariantsHold) {
   }
 
   // Invariant 4: RAES never burns.
-  if (pc.protocol == Protocol::kRaes) EXPECT_EQ(res.burned_servers, 0u);
+  if (pc.protocol == Protocol::kRaes) {
+    EXPECT_EQ(res.burned_servers, 0u);
+  }
 
   // Invariant 5: work = 2 * total submissions (model accounting).
   std::uint64_t submissions = 0;

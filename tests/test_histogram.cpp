@@ -13,7 +13,7 @@ TEST(IntHistogram, EmptyState) {
   EXPECT_EQ(h.total(), 0u);
   EXPECT_EQ(h.count(5), 0u);
   EXPECT_EQ(h.tail_fraction(0), 0.0);
-  EXPECT_THROW(h.quantile(0.5), std::logic_error);
+  EXPECT_THROW((void)h.quantile(0.5), std::logic_error);
 }
 
 TEST(IntHistogram, CountsAndRange) {
@@ -50,7 +50,7 @@ TEST(IntHistogram, QuantileStepFunction) {
   EXPECT_EQ(h.quantile(0.0), 1);
   EXPECT_EQ(h.quantile(1.0), 10);
   EXPECT_EQ(h.quantile(0.5), 5);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
+  EXPECT_THROW((void)h.quantile(1.5), std::invalid_argument);
 }
 
 TEST(IntHistogram, TailFraction) {
@@ -102,8 +102,8 @@ TEST(IntHistogram, PercentileMatchesQuantile) {
   EXPECT_EQ(h.percentile(99.9), 999);
   EXPECT_EQ(h.percentile(0.0), 1);
   EXPECT_EQ(h.percentile(100.0), 1000);
-  EXPECT_THROW(h.percentile(-1.0), std::invalid_argument);
-  EXPECT_THROW(h.percentile(100.5), std::invalid_argument);
+  EXPECT_THROW((void)h.percentile(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)h.percentile(100.5), std::invalid_argument);
 }
 
 TEST(IntHistogram, BucketWidthBinsToLowerBounds) {

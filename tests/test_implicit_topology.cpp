@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -122,6 +123,89 @@ TEST(ImplicitTopology, SeedsAreIndependent) {
   EXPECT_TRUE(any_diff);
 }
 
+// Reference rows: Floyd's rule as the implicit family's golden hashes were
+// recorded with it -- the earlier neighbors() loop kept verbatim, one
+// lower_bound + insert per draw.  neighbors() must reproduce these rows
+// exactly, since every golden hash and twin test of the family rests on
+// them.
+std::vector<NodeId> floyd_insert_oracle(NodeId n, std::uint32_t delta,
+                                        std::uint64_t seed, NodeId v) {
+  const CounterRng rng_(seed);
+  const NodeId n_ = n;
+  const std::uint32_t delta_ = delta;
+  std::vector<NodeId> out;
+  out.clear();
+  out.reserve(delta_);
+  for (std::uint64_t j = n_ - delta_; j < n_; ++j) {
+    const auto t = static_cast<NodeId>(rng_.bounded(v, j, j + 1));
+    const auto it = std::lower_bound(out.begin(), out.end(), t);
+    if (it != out.end() && *it == t) {
+      out.push_back(static_cast<NodeId>(j));
+    } else {
+      out.insert(it, t);
+    }
+  }
+  return out;
+}
+
+constexpr std::uint64_t kOracleSeeds[] = {1, 7, 2026, 0xdeadbeefcafef00dULL};
+
+TEST(ImplicitTopology, RowsMatchInsertOracleOnCollisionHeavyShapes) {
+  // Small n makes Floyd's collision fallback frequent (at delta = n every
+  // late draw collides), so both placement branches are exercised.
+  for (const NodeId n : {NodeId{17}, NodeId{64}}) {
+    for (const std::uint32_t delta : {1u, 2u, 16u, 64u, n}) {
+      if (delta > n) continue;
+      for (const std::uint64_t seed : kOracleSeeds) {
+        const ImplicitRegularTopology topo(n, delta, seed);
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(row_of(topo, v), floyd_insert_oracle(n, delta, seed, v))
+              << "n=" << n << " delta=" << delta << " seed=" << seed
+              << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(ImplicitTopology, RowsMatchInsertOracleAtScale) {
+  // Sampled clients of the 2^22 shapes the engine benchmarks run: the
+  // engine degree and the Theorem 1 degree log2(n)^2 = 484.
+  constexpr NodeId n = NodeId{1} << 22;
+  const CounterRng pick(0x0a11ce5ULL);
+  for (const std::uint32_t delta : {16u, 484u}) {
+    for (const std::uint64_t seed : kOracleSeeds) {
+      const ImplicitRegularTopology topo(n, delta, seed);
+      for (std::uint64_t t = 0; t < 64; ++t) {
+        auto v = static_cast<NodeId>(pick.bounded(t, seed, n));
+        if (t == 0) v = 0;
+        if (t == 1) v = n - 1;
+        ASSERT_EQ(row_of(topo, v), floyd_insert_oracle(n, delta, seed, v))
+            << "delta=" << delta << " seed=" << seed << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(ImplicitTopology, StaleOutputBufferIsOverwritten) {
+  // neighbors() reuses the caller's buffer: whatever it held before --
+  // more elements than delta, or fewer, with arbitrary values -- the
+  // result is exactly the row.
+  const ImplicitRegularTopology topo(4096, 16, 5);
+  for (const std::size_t stale_size : {std::size_t{3}, std::size_t{16},
+                                       std::size_t{100}}) {
+    for (NodeId v = 0; v < 4096; v += 97) {
+      std::vector<NodeId> out(stale_size, NodeId{0xffffffffu});
+      for (std::size_t i = 0; i < out.size(); i += 2) {
+        out[i] = static_cast<NodeId>(i);
+      }
+      topo.neighbors(v, out);
+      ASSERT_EQ(out, floyd_insert_oracle(4096, 16, 5, v))
+          << "stale_size=" << stale_size << " v=" << v;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine equivalence: run_protocol(topo, ...) vs run_protocol(twin, ...).
 // RunResult has no operator==; compare every field explicitly.
@@ -203,7 +287,8 @@ TEST(ImplicitEngine, MatchesTwinWithoutAssignment) {
 TEST(ImplicitEngine, WorkspaceReuseAcrossModesAndSizes) {
   // One workspace serving an interleaving of implicit and stored runs of
   // different shapes must leave every run bit-identical to a fresh-
-  // workspace run -- the pristine invariant extends to implicit_rows.
+  // workspace run -- the implicit cursors own their row buffers, so reuse
+  // leaves no topology state behind in the workspace.
   EngineWorkspace ws;
   const ImplicitRegularTopology big(4096, 12, 2026);
   const ImplicitRegularTopology small(512, 6, 7);

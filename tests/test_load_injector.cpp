@@ -143,7 +143,7 @@ TEST(LoadInjector, CurveNamesRoundTrip) {
   EXPECT_EQ(parse_arrival_curve("constant"), ArrivalCurve::kConstant);
   EXPECT_EQ(parse_arrival_curve("poisson"), ArrivalCurve::kPoisson);
   EXPECT_EQ(parse_arrival_curve("bursty"), ArrivalCurve::kBursty);
-  EXPECT_THROW(parse_arrival_curve("ramp"), std::invalid_argument);
+  EXPECT_THROW((void)parse_arrival_curve("ramp"), std::invalid_argument);
   EXPECT_STREQ(arrival_curve_name(ArrivalCurve::kPoisson), "poisson");
 }
 

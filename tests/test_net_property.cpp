@@ -53,8 +53,12 @@ TEST_P(SimulatorProperties, InvariantsHold) {
 
   EXPECT_LE(res.max_load, params.capacity());
   check_result(g, params, res);
-  if (nc.protocol == Protocol::kRaes) EXPECT_EQ(res.burned_servers, 0u);
-  if (nc.c >= 8.0) EXPECT_TRUE(res.completed) << nc.topology;
+  if (nc.protocol == Protocol::kRaes) {
+    EXPECT_EQ(res.burned_servers, 0u);
+  }
+  if (nc.c >= 8.0) {
+    EXPECT_TRUE(res.completed) << nc.topology;
+  }
 
   // Alive monotonicity via the recorded trace.
   std::uint64_t prev_alive = res.total_balls;

@@ -133,7 +133,9 @@ TEST(ShardParse, AcceptsValidAndRejectsMalformed) {
 
 TEST_F(ShardTest, ShardRunsExactlyItsRanksAndFoldsOnlyThem) {
   const auto grid = uneven_grid();
-  const SweepResult full = SweepScheduler(SweepOptions{.jobs = 2}).run(grid);
+  SweepOptions two_jobs;
+  two_jobs.jobs = 2;
+  const SweepResult full = SweepScheduler(two_jobs).run(grid);
   ASSERT_EQ(full.runs.size(), 12u);
   EXPECT_EQ(full.total_runs, 12u);
 

@@ -77,10 +77,10 @@ TEST(Quantile, UnsortedInputHandled) {
 }
 
 TEST(Quantile, RejectsBadArguments) {
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
   const std::vector<double> one{1.0};
-  EXPECT_THROW(quantile(one, -0.1), std::invalid_argument);
-  EXPECT_THROW(quantile(one, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile(one, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile(one, 1.1), std::invalid_argument);
 }
 
 TEST(Summarize, ConsistentFields) {
