@@ -17,6 +17,7 @@
 #include "net/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -304,7 +305,31 @@ void BM_GenerateRegular(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           theorem_degree(n));
 }
-BENCHMARK(BM_GenerateRegular)->Arg(1 << 10)->Arg(1 << 12);
+// 2^14 is grid-small's largest graph (Delta = 196, 3.2 M edges), where the
+// CSR build is about half of random_regular's time.
+BENCHMARK(BM_GenerateRegular)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14);
+
+// The CSR build alone: from_edges on a shuffled 2^14 x 196 edge list (so
+// every row arrives unsorted and the client bucket pass does real work).
+// The list is copied each iteration with the timer paused, because
+// from_edges consumes its argument.
+void BM_FromEdges(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  std::vector<Edge> edges = cached_regular(n).edges();
+  Xoshiro256ss rng(11);
+  for (std::size_t i = edges.size(); i > 1; --i)
+    std::swap(edges[i - 1], edges[rng.bounded(i)]);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Edge> copy = edges;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        BipartiteGraph::from_edges(n, n, std::move(copy)).num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_FromEdges)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateRing(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

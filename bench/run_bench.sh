@@ -9,7 +9,8 @@
 # Environment:
 #   BUILD_DIR        build tree containing bench_engine   (default: build)
 #   BENCH_FILTER     --benchmark_filter regex             (default: engine +
-#                    sweep benchmarks, the perf-gate set)
+#                    sweep benchmarks, the perf-gate set, plus the topology
+#                    build: BM_GenerateRegular and BM_FromEdges)
 #   BENCH_MIN_TIME   --benchmark_min_time value; newer google-benchmark
 #                    releases (>= 1.8) want a unit suffix like "0.2s"
 #                    (default: 0.2)
@@ -33,7 +34,7 @@ set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${1:-BENCH.json}"
-FILTER="${BENCH_FILTER:-BM_SaerRun/|BM_SaerRunWorkspace|BM_SaerRunLargeN|BM_SaerRunImplicit|BM_ImplicitNeighbors|BM_SaerRunNoAssignment|BM_SaerThresholdBoundary|BM_SaerSparseRounds|BM_RaesRun|BM_SweepScheduler}"
+FILTER="${BENCH_FILTER:-BM_SaerRun/|BM_SaerRunWorkspace|BM_SaerRunLargeN|BM_SaerRunImplicit|BM_ImplicitNeighbors|BM_SaerRunNoAssignment|BM_SaerThresholdBoundary|BM_SaerSparseRounds|BM_RaesRun|BM_SweepScheduler|BM_GenerateRegular|BM_FromEdges}"
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
 BENCH="$BUILD_DIR/bench_engine"

@@ -26,14 +26,42 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+/// Offsets of `num_rows` rows of `degree` entries each (row v starts at
+/// v * degree): the `client_off` argument of BipartiteGraph::from_rows for
+/// a graph whose clients all have the same degree.
+std::vector<EdgeId> uniform_row_offsets(NodeId num_rows, std::uint32_t degree);
+
 class BipartiteGraph {
  public:
   BipartiteGraph() = default;
 
-  /// Builds from an edge list. Duplicate edges are rejected (the protocol's
-  /// uniform sampling over N(v) assumes a simple graph) unless
-  /// `allow_multi_edges` is set, which keeps duplicates (used by tests of
-  /// the repair logic in the generators).
+  /// Builds from client rows: client v's servers are
+  /// client_adj[client_off[v], client_off[v + 1]), in any order.  This is
+  /// the one CSR build path.  It counts server degrees, scatters client ids
+  /// into the server rows (visiting clients in order, so server rows come
+  /// out sorted), then scatters server ids back into `client_adj` in place
+  /// (visiting servers in order, so client rows come out sorted): O(E + n),
+  /// no comparison sort, and no memory beyond the two CSR orientations and
+  /// one max(num_clients, num_servers) cursor array.
+  ///
+  /// Duplicate edges are rejected (the protocol's uniform sampling over
+  /// N(v) assumes a simple graph) unless `allow_multi_edges` is set, which
+  /// keeps duplicates (used by tests of the repair logic in the
+  /// generators).  Throws std::invalid_argument when `client_off` does not
+  /// have num_clients + 1 entries, does not start at 0, is not monotone or
+  /// does not end at client_adj.size(), when a server id is out of range,
+  /// and on a duplicate edge.
+  static BipartiteGraph from_rows(NodeId num_clients, NodeId num_servers,
+                                  std::vector<EdgeId> client_off,
+                                  std::vector<NodeId> client_adj,
+                                  bool allow_multi_edges = false);
+
+  /// Builds from an edge list in any order: one pass buckets the server
+  /// ids by client, the 8-byte edge list is freed, and from_rows does the
+  /// rest.  Same result, checks and exceptions as from_rows, plus
+  /// std::invalid_argument for an out-of-range client id.  Callers that
+  /// already hold rows (fixed-degree generators, the implicit topology's
+  /// materialize) call from_rows directly and never build an Edge list.
   static BipartiteGraph from_edges(NodeId num_clients, NodeId num_servers,
                                    std::vector<Edge> edges,
                                    bool allow_multi_edges = false);

@@ -11,29 +11,27 @@ namespace saer {
 BipartiteGraph ring_proximity(NodeId n, std::uint32_t delta) {
   if (delta == 0 || delta > n)
     throw std::invalid_argument("ring_proximity: need 0 < delta <= n");
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * delta);
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * delta);
+  std::size_t pos = 0;
   for (NodeId v = 0; v < n; ++v) {
-    for (std::uint32_t k = 0; k < delta; ++k) {
-      const auto u = static_cast<NodeId>(
-          (static_cast<std::uint64_t>(v) + k) % n);
-      edges.push_back({v, u});
-    }
+    for (std::uint32_t k = 0; k < delta; ++k)
+      adj[pos++] = static_cast<NodeId>((static_cast<std::uint64_t>(v) + k) % n);
   }
-  return BipartiteGraph::from_edges(n, n, std::move(edges));
+  return BipartiteGraph::from_rows(n, n, uniform_row_offsets(n, delta),
+                                   std::move(adj));
 }
 
 BipartiteGraph shared_blocks(NodeId n, std::uint32_t delta) {
   if (delta == 0 || delta > n || n % delta != 0)
     throw std::invalid_argument("shared_blocks: need delta | n, 0 < delta <= n");
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * delta);
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * delta);
+  std::size_t pos = 0;
   for (NodeId v = 0; v < n; ++v) {
     const NodeId block_begin = v - (v % delta);
-    for (std::uint32_t k = 0; k < delta; ++k)
-      edges.push_back({v, block_begin + k});
+    for (std::uint32_t k = 0; k < delta; ++k) adj[pos++] = block_begin + k;
   }
-  return BipartiteGraph::from_edges(n, n, std::move(edges));
+  return BipartiteGraph::from_rows(n, n, uniform_row_offsets(n, delta),
+                                   std::move(adj));
 }
 
 BipartiteGraph grid_proximity(NodeId side, std::uint32_t radius) {
@@ -42,8 +40,8 @@ BipartiteGraph grid_proximity(NodeId side, std::uint32_t radius) {
   if (window > side)
     throw std::invalid_argument("grid_proximity: neighborhood wider than torus");
   const auto n = static_cast<NodeId>(static_cast<std::uint64_t>(side) * side);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * window * window);
+  std::vector<NodeId> adj(static_cast<std::size_t>(n) * window * window);
+  std::size_t pos = 0;
   const auto r = static_cast<std::int64_t>(radius);
   for (NodeId v = 0; v < n; ++v) {
     const std::int64_t x = v % side;
@@ -52,11 +50,12 @@ BipartiteGraph grid_proximity(NodeId side, std::uint32_t radius) {
       for (std::int64_t dx = -r; dx <= r; ++dx) {
         const auto ux = static_cast<std::uint64_t>((x + dx + side) % side);
         const auto uy = static_cast<std::uint64_t>((y + dy + side) % side);
-        edges.push_back({v, static_cast<NodeId>(uy * side + ux)});
+        adj[pos++] = static_cast<NodeId>(uy * side + ux);
       }
     }
   }
-  return BipartiteGraph::from_edges(n, n, std::move(edges));
+  return BipartiteGraph::from_rows(
+      n, n, uniform_row_offsets(n, window * window), std::move(adj));
 }
 
 }  // namespace saer

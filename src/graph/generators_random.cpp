@@ -41,11 +41,12 @@ std::vector<NodeId> sample_distinct(NodeId n, std::uint32_t k, Xoshiro256ss& rng
 }  // namespace
 
 BipartiteGraph complete_bipartite(NodeId num_clients, NodeId num_servers) {
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(num_clients) * num_servers);
-  for (NodeId v = 0; v < num_clients; ++v)
-    for (NodeId u = 0; u < num_servers; ++u) edges.push_back({v, u});
-  return BipartiteGraph::from_edges(num_clients, num_servers, std::move(edges));
+  std::vector<NodeId> adj(static_cast<std::size_t>(num_clients) * num_servers);
+  for (std::size_t k = 0; k < adj.size(); ++k)
+    adj[k] = static_cast<NodeId>(k % num_servers);
+  return BipartiteGraph::from_rows(
+      num_clients, num_servers, uniform_row_offsets(num_clients, num_servers),
+      std::move(adj));
 }
 
 BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed) {
@@ -145,15 +146,12 @@ BipartiteGraph random_regular(NodeId n, std::uint32_t delta, std::uint64_t seed)
     }
   }
 
-  // Emission order is client-major; from_edges sorts by (client, server),
-  // so the graph is identical to the former matching-major emission.
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * delta);
-  for (NodeId v = 0; v < n; ++v) {
-    const NodeId* r = row(v);
-    for (std::uint32_t m = 0; m < delta; ++m) edges.push_back({v, r[m]});
-  }
-  return BipartiteGraph::from_edges(n, n, std::move(edges));
+  // The client-major matrix already is the CSR client side, rows in
+  // matching order: from_rows sorts each row in place while it builds the
+  // server side, so the graph is identical to sorting the edge list by
+  // (client, server), and no Edge list is ever built.
+  return BipartiteGraph::from_rows(n, n, uniform_row_offsets(n, delta),
+                                   std::move(servers));
 }
 
 BipartiteGraph erdos_renyi_bipartite(NodeId num_clients, NodeId num_servers,

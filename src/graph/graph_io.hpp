@@ -7,6 +7,13 @@
 //   <client> <server>      (one edge per line, any order)
 //
 // Lines starting with '#' are comments.
+//
+// read_graph treats the file as untrusted: a malformed line, a count or id
+// that does not fit NodeId or exceeds the header's sizes, an edge count
+// above num_clients * num_servers, or missing edge lines throw
+// std::runtime_error naming the line.  The header's edge count never sizes
+// an allocation on its own.  A duplicate edge is still rejected by
+// BipartiteGraph::from_edges (std::invalid_argument).
 
 #include <iosfwd>
 #include <string>

@@ -1,5 +1,6 @@
 #include "graph/implicit_topology.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -61,14 +62,15 @@ void ImplicitRegularTopology::neighbors(NodeId v,
 }
 
 BipartiteGraph ImplicitRegularTopology::materialize() const {
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n_) * delta_);
+  std::vector<NodeId> adj(static_cast<std::size_t>(n_) * delta_);
   std::vector<NodeId> row;
   for (NodeId v = 0; v < n_; ++v) {
     neighbors(v, row);
-    for (const NodeId u : row) edges.push_back({v, u});
+    std::copy(row.begin(), row.end(),
+              adj.begin() + static_cast<std::ptrdiff_t>(v) * delta_);
   }
-  return BipartiteGraph::from_edges(n_, n_, std::move(edges));
+  return BipartiteGraph::from_rows(n_, n_, uniform_row_offsets(n_, delta_),
+                                   std::move(adj));
 }
 
 }  // namespace saer

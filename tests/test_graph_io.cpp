@@ -52,6 +52,52 @@ TEST(GraphIo, TruncatedEdgesRejected) {
   EXPECT_THROW(read_graph(in), std::runtime_error);
 }
 
+/// The message read_graph throws for `text` ("" if it loads).
+std::string read_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)read_graph(in);
+  } catch (const std::runtime_error& err) {
+    return err.what();
+  }
+  return "";
+}
+
+TEST(GraphIo, HeaderCountsWiderThanNodeIdRejected) {
+  // 2^32 + 2 clients and servers, and a client id of 2^32: narrowing to
+  // 32 bits used to load this as a 2-client graph with edge (0, 1).
+  const std::string err =
+      read_error("saer-bipartite 1\n4294967298 4294967298 1\n4294967296 1\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("client count"), std::string::npos) << err;
+}
+
+TEST(GraphIo, EdgeIdsOutsideTheHeaderRejected) {
+  // Ids that fit the header's counts only after narrowing, ids past the
+  // counts, and a negative id (which stream extraction wraps to 2^64 - 1).
+  for (const char* edge : {"4294967296 1", "1 4294967297", "2 0", "0 2",
+                           "-1 0"}) {
+    SCOPED_TRACE(edge);
+    const std::string err = read_error(
+        std::string("saer-bipartite 1\n2 2 2\n# c\n0 0\n") + edge + "\n");
+    EXPECT_NE(err.find("line 5"), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  }
+}
+
+TEST(GraphIo, HugeEdgeCountDoesNotAllocateUpFront) {
+  // 4e12 edges cannot be a simple 2x2 graph: rejected from the header.
+  const std::string small =
+      read_error("saer-bipartite 1\n2 2 4000000000000\n0 0\n");
+  EXPECT_NE(small.find("line 2"), std::string::npos) << small;
+  EXPECT_NE(small.find("edge count"), std::string::npos) << small;
+  // With counts large enough to allow it, the claim is not reserved up
+  // front (that died with std::bad_alloc): the edge lines simply run out.
+  const std::string big = read_error(
+      "saer-bipartite 1\n4000000 4000000 4000000000000\n0 0\n1 1\n");
+  EXPECT_NE(big.find("unexpected end of input"), std::string::npos) << big;
+}
+
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW(load_graph("/nonexistent/saer.txt"), std::runtime_error);
 }
