@@ -153,11 +153,13 @@ BENCHMARK(BM_SaerRunImplicit)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The rowgen layer under every implicit run: one Floyd row regeneration
-// (ImplicitRegularTopology::neighbors) per iteration at n=2^22, so the
+// The sorted-row regeneration (ImplicitRegularTopology::neighbors, which
+// deep_scan and materialize use, and the engines above Delta = 256): one
+// Floyd row per iteration at n=2^22, so the
 // reported time is ns per row.  Delta=16 is the engine rows' degree;
 // Delta=484 = log2(n)^2 is the Theorem 1 degree at this n, where the
-// sorted placement's O(Delta^2) element moves dominate the Delta draws.
+// sorted placement's O(Delta^2) element moves dominate the Delta draws;
+// 32, 64 and 256 pair with BM_ImplicitSelect below.
 void BM_ImplicitNeighbors(benchmark::State& state) {
   constexpr NodeId n = NodeId{1} << 22;
   const ImplicitRegularTopology topo(
@@ -172,7 +174,30 @@ void BM_ImplicitNeighbors(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ImplicitNeighbors)->Arg(16)->Arg(484)
+BENCHMARK(BM_ImplicitNeighbors)->Arg(16)->Arg(32)->Arg(64)->Arg(256)->Arg(484)
+    ->Unit(benchmark::kNanosecond);
+
+// What the engines' implicit cursors pay per client instead: one
+// ImplicitRowSampler load (the Delta Floyd draws plus the O(Delta^2)
+// branch-free rank count) and one select of a drawn rank, n = 2^22.  Read
+// against BM_ImplicitNeighbors at the same Delta; these numbers set
+// ImplicitRowSampler::kMaxRankDelta.
+void BM_ImplicitSelect(benchmark::State& state) {
+  constexpr NodeId n = NodeId{1} << 22;
+  const auto delta = static_cast<std::uint32_t>(state.range(0));
+  const ImplicitRegularTopology topo(n, delta, 7);
+  const CounterRng pick(11);
+  ImplicitRowSampler row(topo);
+  NodeId v = 0;
+  for (auto _ : state) {
+    row.load(v);
+    benchmark::DoNotOptimize(
+        row[static_cast<std::uint32_t>(pick.bounded(v, 0, delta))]);
+    v = (v + 1) & (n - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ImplicitSelect)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
     ->Unit(benchmark::kNanosecond);
 
 // The memory-lean mode at the same shapes: the delta to BM_SaerRunLargeN

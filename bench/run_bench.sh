@@ -34,7 +34,7 @@ set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${1:-BENCH.json}"
-FILTER="${BENCH_FILTER:-BM_SaerRun/|BM_SaerRunWorkspace|BM_SaerRunLargeN|BM_SaerRunImplicit|BM_ImplicitNeighbors|BM_SaerRunNoAssignment|BM_SaerThresholdBoundary|BM_SaerSparseRounds|BM_RaesRun|BM_SweepScheduler|BM_GenerateRegular|BM_FromEdges}"
+FILTER="${BENCH_FILTER:-BM_SaerRun/|BM_SaerRunWorkspace|BM_SaerRunLargeN|BM_SaerRunImplicit|BM_ImplicitNeighbors|BM_ImplicitSelect|BM_SaerRunNoAssignment|BM_SaerThresholdBoundary|BM_SaerSparseRounds|BM_RaesRun|BM_SweepScheduler|BM_GenerateRegular|BM_FromEdges}"
 MIN_TIME="${BENCH_MIN_TIME:-0.2}"
 
 BENCH="$BUILD_DIR/bench_engine"

@@ -1,7 +1,6 @@
 #include "core/dynamic.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
@@ -18,34 +17,26 @@ constexpr std::uint64_t kFailureStreamBase = 0x8000'0000'0000'0000ULL;
 /// bit-identical either way).
 constexpr std::size_t kTeamMinBalls = std::size_t{1} << 15;
 
-/// Implicit-mode Phase-1 sampler.  Mirrors the batch engine's
-/// ImplicitSource cursor: the client's row is regenerated once per run of
-/// consecutive same-client balls, and -- because scatter_count dereferences
-/// addresses up to kScatterPipeline calls after addr_of returns them --
-/// each sampled server is resolved now and parked in a pipeline-deep ring.
-/// scatter_count copies the sampler per chunk, so the row buffer and ring
-/// are chunk-private by construction.
+/// Implicit-mode Phase-1 sampler: the batch engine's ImplicitCursor
+/// (core/scatter.hpp), loaded once per run of consecutive same-client
+/// balls.  scatter_count copies the sampler per chunk, so the cursor is
+/// chunk-private by construction.
 struct ImplicitStepSampler {
-  const ImplicitRegularTopology* topo;
+  ImplicitCursor cursor;
   const BallId* alive;
   const CounterRng* rng;
   FastDiv32 by_d;
   std::uint32_t round;
-  std::vector<NodeId> row{};
   NodeId cached_v = kUnassigned;
-  std::array<NodeId, kScatterPipeline> ring{};
 
   const NodeId* operator()(std::size_t i) {
     const BallId b = alive[i];
     const auto v = static_cast<NodeId>(by_d.quotient(b));
     if (v != cached_v) {
       cached_v = v;
-      topo->neighbors(v, row);
+      cursor.load(v);
     }
-    const std::uint64_t k = rng->bounded(b, round, topo->degree());
-    NodeId& slot = ring[i % kScatterPipeline];
-    slot = row[k];
-    return &slot;
+    return cursor.addr(i, rng->bounded(b, round, cursor.deg));
   }
 };
 }  // namespace
@@ -183,9 +174,9 @@ DynamicStepStats DynamicEngine::step(std::uint64_t now_us) {
   // Phase 1 via the shared atomic-free radix scatter (same counter-based
   // draws, plain per-server adds; no touch-lists -- the dynamic loop
   // always scans all servers because churn coins touch them anyway).
-  // Stored mode hands the scatter raw CSR addresses; implicit mode
-  // regenerates rows and pipelines resolved servers through a ring (see
-  // ImplicitStepSampler).  Same draws, same targets either way.
+  // Stored mode hands the scatter raw CSR addresses; implicit mode selects
+  // by rank and pipelines resolved servers through a ring (see
+  // ImplicitCursor).  Same draws, same targets either way.
   const std::size_t m = alive_.size();
   const ScatterLayout layout =
       scatter_layout(m, n_servers, static_cast<std::size_t>(parallel_width()));
@@ -203,8 +194,9 @@ DynamicStepStats DynamicEngine::step(std::uint64_t now_us) {
       return graph_->client_neighbors(v).data() + k;
     });
   } else {
+    const ImplicitCursor cursor(*topo_);
     run_scatter(
-        ImplicitStepSampler{&*topo_, alive_.data(), &rng_, by_d_, round_});
+        ImplicitStepSampler{cursor, alive_.data(), &rng_, by_d_, round_});
   }
 
   parallel_for(0, n_servers, [&](std::size_t ui) {

@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -69,25 +68,20 @@ bool needs_wide_recv_total(const ProtocolParams& params) {
 //   StoredSource    wraps a BipartiteGraph; a client's row is its stable
 //                   CSR span, so samplers hand the scatter pipeline raw
 //                   row addresses (`base + k`).
-//   ImplicitSource  wraps an ImplicitRegularTopology; a client's row is
-//                   regenerated on demand (O(Delta) counter-RNG draws, no
-//                   edge arrays) into a row buffer the cursor owns -- one
-//                   per chunk, since scatter_count copies the sampler per
-//                   chunk, so concurrent chunks never write a shared cache
-//                   line.  Because scatter_count dereferences an addr_of
-//                   result up to kScatterPipeline calls later, after the
-//                   row may hold a different client's neighbors, the
-//                   sampled server is resolved immediately and parked in a
-//                   pipeline-deep ring whose slot is what the scatter
-//                   dereferences.
+//   ImplicitSource  wraps an ImplicitRegularTopology; its cursor is the
+//                   ImplicitCursor of core/scatter.hpp, shared with
+//                   DynamicEngine: loading a client takes its Delta
+//                   counter-RNG draws (no edge arrays), and draw k is read
+//                   by rank from the unsorted Floyd set into a chunk-
+//                   private pipeline ring.
 //
 // Both expose the same cursor shape (load a client, address draw k), so
 // run_rounds instantiates once per source and the instruction stream of
-// the stored path is unchanged.  The implicit rows are regenerated sorted
-// and equal to the materialized twin's CSR rows element for element, so
-// the engine's draw `rng.bounded(ball, round, deg)` selects the identical
-// server either way: runs are bit-identical, which the golden twin tests
-// enforce across team widths and protocols.
+// the stored path is unchanged.  The implicit row's rank-k member equals
+// the materialized twin's CSR row[k], so the engine's draw
+// `rng.bounded(ball, round, deg)` selects the identical server either
+// way: runs are bit-identical, which the golden twin tests enforce across
+// team widths and protocols.
 // ---------------------------------------------------------------------------
 
 struct StoredSource {
@@ -128,31 +122,7 @@ struct ImplicitSource {
   [[nodiscard]] NodeId num_clients() const { return topo.num_clients(); }
   [[nodiscard]] NodeId num_servers() const { return topo.num_servers(); }
 
-  /// Regenerating cursor that owns its row buffer.  scatter_count copies
-  /// its sampler once per chunk, so every chunk regenerates into a row --
-  /// vector header and storage -- that no other worker writes: concurrent
-  /// chunks share no cache line, and the copy's first load allocates the
-  /// row once per chunk and round.
-  struct Cursor {
-    const ImplicitRegularTopology* topo;
-    std::vector<NodeId> row{};
-    std::uint32_t deg = 0;
-    /// Resolved samples, kScatterPipeline deep (see core/scatter.hpp): a
-    /// slot is overwritten only after every dereference of its previous
-    /// occupant has happened.
-    std::array<NodeId, kScatterPipeline> ring{};
-
-    void load(NodeId v) {
-      topo->neighbors(v, row);
-      deg = topo->degree();
-    }
-    [[nodiscard]] const NodeId* addr(std::size_t pos, std::uint64_t k) {
-      NodeId& slot = ring[pos % kScatterPipeline];
-      slot = row[k];
-      return &slot;
-    }
-  };
-  [[nodiscard]] Cursor cursor() const { return Cursor{&topo}; }
+  [[nodiscard]] ImplicitCursor cursor() const { return ImplicitCursor(topo); }
 
   /// deep_scan row access: regenerates into a per-thread scratch row (the
   /// reduction lambdas are shared by-ref across team workers, so per-call

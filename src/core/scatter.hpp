@@ -37,11 +37,13 @@
 // Phase-2 work pipelines into the merge tasks instead of waiting for a
 // global barrier.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
+#include "graph/implicit_topology.hpp"
 #include "util/parallel.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -85,11 +87,34 @@ inline constexpr std::size_t kScatterMinGrain = 1024;
 /// returned by `addr_of(i)` is dereferenced only after up to
 /// kScatterPipeline further addr_of calls have run (the prefetch sweeps
 /// below).  Samplers that point into stable storage (CSR rows) need not
-/// care; samplers that synthesize values -- the implicit-topology cursors
-/// in core/engine.cpp and core/dynamic.cpp -- must keep at least this many
-/// results alive, which they do with a kScatterPipeline-deep ring of
-/// resolved server ids indexed by position modulo the depth.
+/// care; samplers that synthesize values -- ImplicitCursor below -- must
+/// keep at least this many results alive.
 inline constexpr std::size_t kScatterPipeline = 192;
+
+/// The scatter cursor over an implicit topology, shared by the batch
+/// engine and DynamicEngine: load a client, then address draw k of its
+/// row.  The server is selected by rank from the unsorted Floyd set
+/// (ImplicitRowSampler), and since the sampler holds one client at a time
+/// while scatter_count dereferences an address up to kScatterPipeline
+/// calls later, the server is resolved immediately and parked in a
+/// pipeline-deep ring indexed by position modulo the depth; that slot is
+/// what the scatter dereferences.  scatter_count copies its sampler per
+/// chunk, so the sampler and ring are chunk-private by construction.
+struct ImplicitCursor {
+  ImplicitRowSampler row;
+  std::uint32_t deg;
+  std::array<NodeId, kScatterPipeline> ring{};
+
+  explicit ImplicitCursor(const ImplicitRegularTopology& topo)
+      : row(topo), deg(topo.degree()) {}
+
+  void load(NodeId v) { row.load(v); }
+  [[nodiscard]] const NodeId* addr(std::size_t pos, std::uint64_t k) {
+    NodeId& slot = ring[pos % kScatterPipeline];
+    slot = row[static_cast<std::uint32_t>(k)];
+    return &slot;
+  }
+};
 
 /// Picks the round's layout for a round loop running on `threads` workers
 /// (callers pass their executor's width -- the engine its team size, tests

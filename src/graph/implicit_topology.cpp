@@ -61,6 +61,59 @@ void ImplicitRegularTopology::neighbors(NodeId v,
   }
 }
 
+ImplicitRowSampler::ImplicitRowSampler(const ImplicitRegularTopology& topo)
+    : topo_(&topo),
+      delta_(topo.degree()),
+      width_(delta_ <= kMaxRankDelta ? (delta_ + 7) & ~7u : 0) {}
+
+void ImplicitRowSampler::count_ranks() {
+  // rank[i] = #{j < Delta : set[j] < set[i]}, eight lanes per block: the
+  // block's values and counts stay in registers while set[j] streams by,
+  // so the inner loop is one broadcast, compare and subtract per vector.
+  const NodeId* const set = set_.data();
+  const std::uint32_t delta = delta_;
+  const std::uint32_t width = width_;
+  for (std::uint32_t b = 0; b < width; b += 8) {
+    NodeId lane[8];
+    std::uint32_t count[8] = {};
+    for (std::uint32_t i = 0; i < 8; ++i) lane[i] = set[b + i];
+    for (std::uint32_t j = 0; j < delta; ++j) {
+      const NodeId x = set[j];
+      for (std::uint32_t i = 0; i < 8; ++i) count[i] += x < lane[i] ? 1 : 0;
+    }
+    for (std::uint32_t i = 0; i < 8; ++i) rank_[b + i] = count[i];
+  }
+}
+
+void ImplicitRowSampler::load(NodeId v) {
+  if (width_ == 0) {
+    topo_->neighbors(v, sorted_);
+    return;
+  }
+  const CounterRng& rng = topo_->rng_;
+  const std::uint64_t j0 = topo_->n_ - delta_;
+  for (std::uint32_t i = 0; i < delta_; ++i) {
+    const std::uint64_t j = j0 + i;
+    set_[i] = static_cast<NodeId>(rng.bounded(v, j, j + 1));
+  }
+  count_ranks();
+  // Distinct values rank 0..Delta-1 and a tie lowers the sum, so it equals
+  // Delta(Delta-1)/2 exactly when no two draws collided.
+  std::uint64_t sum = 0;
+  for (std::uint32_t i = 0; i < delta_; ++i) sum += rank_[i];
+  if (sum == std::uint64_t{delta_} * (delta_ - 1) / 2) return;
+  // Floyd's rule in draw order, as in neighbors(): draw i collides if an
+  // earlier member (itself already resolved) equals it, and then j0 + i,
+  // which no earlier member can equal, joins the set instead.
+  for (std::uint32_t i = 1; i < delta_; ++i) {
+    const NodeId t = set_[i];
+    bool hit = false;
+    for (std::uint32_t m = 0; m < i; ++m) hit |= set_[m] == t;
+    set_[i] = hit ? static_cast<NodeId>(j0 + i) : t;
+  }
+  count_ranks();
+}
+
 BipartiteGraph ImplicitRegularTopology::materialize() const {
   std::vector<NodeId> adj(static_cast<std::size_t>(n_) * delta_);
   std::vector<NodeId> row;

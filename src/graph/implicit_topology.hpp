@@ -20,8 +20,10 @@
 // is the equivalence anchor the engine tests pin against: a protocol run
 // under the implicit source must be bit-for-bit equal to the same run under
 // the materialized twin (tests/test_implicit_topology.cpp,
-// tests/test_golden_hash.cpp).
+// tests/test_golden_hash.cpp).  The engines, which read one entry row[k]
+// per sampled ball, use ImplicitRowSampler below instead of neighbors().
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -53,7 +55,10 @@ class ImplicitRegularTopology {
   /// memmove of the larger elements -- O(Delta log Delta) compares and
   /// O(Delta^2) element moves: BM_ImplicitNeighbors measures about 0.5 us
   /// per row at Delta = 16 and 25 us at Delta = 484 (n = 2^22, one core of
-  /// a 4-vCPU Xeon VM).  `out` is resized to exactly Delta whatever it
+  /// a 4-vCPU Xeon VM), of which the draws alone are about 0.13 us at
+  /// Delta = 16.  A caller that reads one entry of the row should use
+  /// ImplicitRowSampler instead (0.20 us at Delta = 16, see
+  /// BM_ImplicitSelect).  `out` is resized to exactly Delta whatever it
   /// held; no allocation once its capacity reaches Delta.
   void neighbors(NodeId v, std::vector<NodeId>& out) const;
 
@@ -64,10 +69,81 @@ class ImplicitRegularTopology {
   [[nodiscard]] BipartiteGraph materialize() const;
 
  private:
+  friend class ImplicitRowSampler;
+
   NodeId n_ = 0;
   std::uint32_t delta_ = 0;
   std::uint64_t graph_seed_ = 0;
   CounterRng rng_;
+};
+
+/// Reads one client's row of an ImplicitRegularTopology by rank, without
+/// sorting it: after load(v), (*this)[k] == neighbors(v)[k] for every
+/// k < Delta, byte for byte.  This is the sampler both engines' implicit
+/// cursors hold (core/scatter.hpp, ImplicitCursor).
+///
+/// load(v) takes the Delta Floyd draws -- the same rng.bounded(v, j, j + 1)
+/// calls as neighbors() -- into lanes of draw order, and counts for every
+/// lane how many drawn values are smaller: Delta^2 branch-free compares,
+/// eight lanes at a time.  Distinct draws give ranks 0..Delta-1, whose
+/// sum is Delta(Delta-1)/2; a smaller sum means two draws collided, and
+/// only then are the collisions resolved in draw order (a colliding draw
+/// becomes its fallback j, exactly as in neighbors(), so every later
+/// compare sees the same set) and the ranks counted again -- a branch
+/// taken with probability about Delta^2 / 2n, one client in 35,000 at
+/// n = 2^22, Delta = 16.
+/// operator[] then returns the lane whose rank is k: one branch-free pass
+/// over the lanes, no sort.
+///
+/// Above kMaxRankDelta the quadratic count loses to neighbors()'s sorted
+/// placement, so load() regenerates the sorted row instead and [k] indexes
+/// it.  Either way the selected server is the same.
+///
+/// Not thread-safe; copies are independent (the engines copy one per
+/// scatter chunk).  No allocation below the cutoff.
+class ImplicitRowSampler {
+ public:
+  /// Largest degree served by rank counting.  BM_ImplicitSelect (one load
+  /// plus one select, n = 2^22, one core of a 4-vCPU Xeon VM) against
+  /// BM_ImplicitNeighbors: 0.20 vs 0.50 us at Delta = 16, 0.4 vs 1.15 us
+  /// at 32, 1.1 vs 2.8 us at 64 and 8.5 vs 14 us at 256.  Both grow as
+  /// Delta^2 from there, and a select is one O(Delta) pass, so d = 2 (a
+  /// load plus two selects) moves the crossover little: it lies between
+  /// Delta = 384 (about 17 vs 20 us) and 448 (about 24 vs 23 us).  The
+  /// cutoff keeps a margin below it.
+  static constexpr std::uint32_t kMaxRankDelta = 256;
+
+  explicit ImplicitRowSampler(const ImplicitRegularTopology& topo);
+
+  /// Makes client v the current row.
+  void load(NodeId v);
+
+  /// The server of rank k in the current row (k < Delta); equal to
+  /// neighbors(v)[k] for the last loaded v.
+  [[nodiscard]] NodeId operator[](std::uint32_t k) const {
+    if (width_ == 0) return sorted_[k];
+    NodeId out = 0;
+    const std::uint32_t width = width_;
+    for (std::uint32_t i = 0; i < width; ++i) {
+      out |= rank_[i] == k ? set_[i] : NodeId{0};
+    }
+    return out;
+  }
+
+ private:
+  void count_ranks();
+
+  const ImplicitRegularTopology* topo_;
+  std::uint32_t delta_;
+  /// Rank lanes in use: Delta rounded up to a multiple of 8, or 0 when the
+  /// degree is above kMaxRankDelta and `sorted_` holds the row.
+  std::uint32_t width_;
+  /// Lanes [0, Delta) hold the row's set in draw order.  Lanes
+  /// [Delta, width_) stay 0: they rank 0, so operator[](0) matches them
+  /// too, but they OR in nothing.
+  std::array<NodeId, kMaxRankDelta> set_{};
+  std::array<std::uint32_t, kMaxRankDelta> rank_{};
+  std::vector<NodeId> sorted_;
 };
 
 }  // namespace saer

@@ -19,6 +19,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "core/metrics.hpp"
 #include "core/workspace.hpp"
@@ -551,8 +554,34 @@ void accumulate(Aggregate& agg, const SweepRun& run) {
 SweepScheduler::SweepScheduler(SweepOptions options)
     : options_(std::move(options)) {}
 
+namespace {
+
+/// Fixes glibc's malloc thresholds, once per process (see SweepScheduler).
+/// Left adaptive, glibc raises its mmap threshold to the largest block
+/// freed so far (up to 32 MiB) and its trim threshold to twice that: once
+/// a sweep has freed a shared graph, multi-MiB blocks land in the arena of
+/// whichever pool worker asked, and each arena keeps tens of MiB of freed
+/// memory that no other worker can reuse, so peak RSS depends on which
+/// worker built or ran what (per-sweep peaks of 40 to over 90 MiB for one
+/// repeated 6144-run grid, 43 MiB every time with fixed thresholds).  The
+/// 1 MiB trim threshold spares each run's small result buffers (128 KiB at
+/// n = 2^14, d = 2) from being trimmed and faulted back in on every run.
+void fix_malloc_thresholds() {
+#if defined(__GLIBC__)
+  static const bool fixed = [] {
+    mallopt(M_MMAP_THRESHOLD, 4 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 20);
+    return true;
+  }();
+  (void)fixed;
+#endif
+}
+
+}  // namespace
+
 SweepResult SweepScheduler::run(const std::vector<SweepPoint>& grid) const {
   const auto start = std::chrono::steady_clock::now();
+  fix_malloc_thresholds();
 
   for (const SweepPoint& point : grid) {
     if (point.implicit_factory && point.runner) {

@@ -256,6 +256,9 @@ class SweepScheduler {
 
   /// Runs every replication of every point; blocks until the grid drains.
   /// Throws the first task exception (bad parameters, unwritable sink...).
+  /// With glibc, the first call fixes the process's malloc mmap and trim
+  /// thresholds (4 MiB and 1 MiB) instead of glibc's adaptive ones, so a
+  /// sweep's peak RSS does not depend on which pool worker allocated what.
   [[nodiscard]] SweepResult run(const std::vector<SweepPoint>& grid) const;
 
  private:

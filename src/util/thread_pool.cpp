@@ -28,6 +28,32 @@ std::vector<int> allowed_cpus() {
   return cpus;
 }
 
+/// Where new workers start: the allowed CPUs rotated so that the calling
+/// thread's own CPU comes last.  Empty when fewer than two CPUs are allowed
+/// (nothing to spread over) or the mask cannot be read.
+std::vector<int> start_cpus() {
+  std::vector<int> cpus = allowed_cpus();
+  if (cpus.size() < 2) return {};
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here + 1, cpus.end());
+  return cpus;
+}
+
+/// Moves the calling thread onto `cpu`, then gives it back its full
+/// allowed mask: a placement, not a pin (see "Placement" on ThreadTeam).
+/// Best effort: on any failure the thread stays where it started.
+void start_on(int cpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) == 0) {
+    sched_setaffinity(0, sizeof allowed, &allowed);
+  }
+}
+
 void pin_to_cpu(std::thread& thread, int cpu) {
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -36,7 +62,15 @@ void pin_to_cpu(std::thread& thread, int cpu) {
   // unpinned, which is the documented fallback.
   pthread_setaffinity_np(thread.native_handle(), sizeof set, &set);
 }
+#else
+std::vector<int> start_cpus() { return {}; }
+void start_on(int) {}
 #endif
+
+/// The start CPU of the i-th new worker (see start_on), or -1 for none.
+int start_cpu(const std::vector<int>& cpus, std::size_t i) {
+  return cpus.empty() ? -1 : cpus[i % cpus.size()];
+}
 
 }  // namespace
 
@@ -47,8 +81,12 @@ ThreadPool::ThreadPool(unsigned threads) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
   workers_.reserve(threads);
+  const std::vector<int> cpus = start_cpus();
   for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i, cpu = start_cpu(cpus, i)] {
+      if (cpu >= 0) start_on(cpu);
+      worker_loop(i);
+    });
   }
 }
 
@@ -163,8 +201,14 @@ bool ThreadTeam::pin_requested() noexcept {
 ThreadTeam::ThreadTeam(unsigned threads, bool pin_threads) {
   const unsigned helpers = threads > 1 ? threads - 1 : 0;
   helpers_.reserve(helpers);
+  // Pinned helpers are placed by pin_to_cpu below instead.
+  const std::vector<int> cpus =
+      pin_threads ? std::vector<int>{} : start_cpus();
   for (unsigned w = 1; w <= helpers; ++w) {
-    helpers_.emplace_back([this, w] { helper_loop(w); });
+    helpers_.emplace_back([this, w, cpu = start_cpu(cpus, w - 1)] {
+      if (cpu >= 0) start_on(cpu);
+      helper_loop(w);
+    });
   }
 #if defined(__linux__)
   if (pin_threads && helpers > 0) {

@@ -98,6 +98,13 @@ class ThreadPool {
 /// team-backed parallel_for always hands worker w the same contiguous
 /// index range for a given loop shape).
 ///
+/// Placement: unless pinned, every new worker of a ThreadPool or a
+/// ThreadTeam starts on its own allowed CPU, round-robin from the one
+/// after the spawning thread's, and then gets the full allowed mask back,
+/// so the kernel still moves it freely.  Without this a team spawned on a
+/// virtual machine after an idle spell stayed stacked on the spawning CPU
+/// for about a second.
+///
 /// Affinity: when `pin_threads` is set and the process's allowed-CPU mask
 /// has at least `threads` entries, helper w is pinned to the (w mod
 /// n_allowed)-th allowed CPU -- round-robin over the kernel's enumeration

@@ -11,6 +11,8 @@
 //   * full engine runs (both protocols, deep trace, store_assignment on
 //     and off, reused workspaces, every team width) are bit-identical
 //     between the implicit topology and its materialized twin;
+//   * ImplicitRowSampler's rank select equals neighbors(v)[k] and the
+//     insert oracle's row[k] for every k, on both sides of its cutoff;
 //   * the dynamic engine's implicit mode matches its stored twin
 //     step for step.
 
@@ -187,6 +189,109 @@ TEST(ImplicitTopology, RowsMatchInsertOracleAtScale) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// ImplicitRowSampler: rank select over the unsorted Floyd set must return
+// neighbors(v)[k] -- and the insert oracle's row[k] -- for every k, on
+// both sides of kMaxRankDelta.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kCutoff = ImplicitRowSampler::kMaxRankDelta;
+
+/// Checks every rank of `clients` clients of the shape (all of them when
+/// clients >= n, else a seeded sample including 0 and n - 1), loading them
+/// one after another into a single sampler so stale state would show.
+void expect_select_matches(NodeId n, std::uint32_t delta, std::uint64_t seed,
+                           NodeId clients) {
+  const ImplicitRegularTopology topo(n, delta, seed);
+  ImplicitRowSampler row(topo);
+  const CounterRng pick(seed ^ 0x5e1ec7ULL);
+  const NodeId count = std::min(n, clients);
+  for (NodeId t = 0; t < count; ++t) {
+    NodeId v = t;
+    if (clients < n && t > 0) {
+      v = t == 1 ? n - 1 : static_cast<NodeId>(pick.bounded(t, delta, n));
+    }
+    row.load(v);
+    const std::vector<NodeId> sorted = row_of(topo, v);
+    ASSERT_EQ(sorted, floyd_insert_oracle(n, delta, seed, v))
+        << "n=" << n << " delta=" << delta << " seed=" << seed << " v=" << v;
+    for (std::uint32_t k = 0; k < delta; ++k) {
+      ASSERT_EQ(row[k], sorted[k]) << "n=" << n << " delta=" << delta
+                                   << " seed=" << seed << " v=" << v
+                                   << " k=" << k;
+    }
+  }
+}
+
+TEST(ImplicitRowSampler, SelectMatchesSortedRowOnRandomShapes) {
+  // 150 seeded (n, delta, seed) triples, every client and rank.
+  const CounterRng shapes(0x5e1ec75eedULL);
+  for (std::uint64_t t = 0; t < 150; ++t) {
+    const auto n = static_cast<NodeId>(1 + shapes.bounded(t, 0, 300));
+    const auto delta = static_cast<std::uint32_t>(1 + shapes.bounded(t, 1, n));
+    expect_select_matches(n, delta, shapes.at(t, 2), n);
+  }
+}
+
+TEST(ImplicitRowSampler, SelectMatchesOnBoundaryAndCollisionHeavyShapes) {
+  for (const std::uint64_t seed : kOracleSeeds) {
+    // delta = 1 and delta = n.
+    for (const NodeId n : {NodeId{1}, NodeId{2}, NodeId{1024}}) {
+      expect_select_matches(n, 1, seed, n);
+    }
+    for (const NodeId n : {NodeId{2}, NodeId{16}, NodeId{64}}) {
+      expect_select_matches(n, n, seed, n);
+    }
+    // n close to delta: Floyd's fallback fires for most late draws.
+    for (const NodeId n : {16u, 17u, 20u, 32u, 100u}) {
+      expect_select_matches(n, 16, seed, n);
+    }
+    for (const std::uint32_t delta : {8u, 64u}) {
+      for (const NodeId n : {delta, delta + 1, 2 * delta}) {
+        expect_select_matches(n, delta, seed, n);
+      }
+    }
+  }
+}
+
+TEST(ImplicitRowSampler, SelectMatchesOnBothSidesOfTheCutoff) {
+  // kCutoff takes the rank-count path, kCutoff + 1 the sorted fallback.
+  for (const std::uint32_t delta : {kCutoff - 1, kCutoff, kCutoff + 1}) {
+    for (const NodeId n : {delta, delta + 1, 2 * delta}) {
+      expect_select_matches(n, delta, 2026, n);
+    }
+    expect_select_matches(NodeId{1} << 22, delta, 7, 64);
+  }
+}
+
+TEST(ImplicitRowSampler, SelectMatchesAtScale) {
+  // The perfbench and BM shapes (n = 2^22, delta = 16) and the cutoff
+  // microbenchmark's widths.
+  for (const std::uint32_t delta : {16u, 32u, 64u}) {
+    for (const std::uint64_t seed : kOracleSeeds) {
+      expect_select_matches(NodeId{1} << 22, delta, seed, 2048);
+    }
+  }
+}
+
+TEST(ImplicitRowSampler, CopiesAreIndependent) {
+  // The engines copy a loaded sampler into every scatter chunk; a copy's
+  // loads must not disturb the original's row.
+  for (const std::uint32_t delta : {12u, kCutoff + 1}) {
+    const ImplicitRegularTopology topo(4096, delta, 5);
+    ImplicitRowSampler a(topo);
+    a.load(17);
+    ImplicitRowSampler b = a;
+    b.load(18);
+    const std::vector<NodeId> row17 = row_of(topo, 17);
+    const std::vector<NodeId> row18 = row_of(topo, 18);
+    for (std::uint32_t k = 0; k < delta; ++k) {
+      ASSERT_EQ(a[k], row17[k]) << "delta=" << delta << " k=" << k;
+      ASSERT_EQ(b[k], row18[k]) << "delta=" << delta << " k=" << k;
+    }
+  }
+}
+
 TEST(ImplicitTopology, StaleOutputBufferIsOverwritten) {
   // neighbors() reuses the caller's buffer: whatever it held before --
   // more elements than delta, or fewer, with arbitrary values -- the
@@ -323,6 +428,44 @@ TEST(ImplicitEngine, MatchesTwinAcrossTeamWidths) {
   set_thread_count(0);
 }
 
+TEST(ImplicitEngine, MatchesTwinAcrossDemandsDegreesAndWidths) {
+  // d = 1 is the perfbench implicit-2e22 shape and d = 3 an odd demand;
+  // the degrees straddle kMaxRankDelta, so both the rank-select path and
+  // the sorted fallback run.  Every point holds >= 2^15 balls, so width 4
+  // runs the chunked scatter with per-chunk cursors.
+  struct Shape {
+    NodeId n;
+    std::uint32_t delta;
+    std::uint32_t d;
+    double c;
+  };
+  const Shape shapes[] = {
+      {1u << 15, 16, 1, 4.0},
+      {11000, 16, 3, 2.0},
+      {1u << 15, kCutoff + 1, 1, 4.0},
+      {11000, kCutoff, 3, 2.0},
+      {11000, kCutoff + 1, 3, 2.0},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << shape.n
+                                      << " delta=" << shape.delta
+                                      << " d=" << shape.d);
+    const ImplicitRegularTopology topo(shape.n, shape.delta, 404);
+    const BipartiteGraph twin = topo.materialize();
+    ProtocolParams p;
+    p.d = shape.d;
+    p.c = shape.c;
+    p.seed = 99;
+    set_thread_count(1);
+    const RunResult reference = run_protocol(twin, p);
+    for (const int threads : {1, 4}) {
+      set_thread_count(threads);
+      expect_identical(run_protocol(topo, p), reference, "width");
+    }
+  }
+  set_thread_count(0);
+}
+
 TEST(ImplicitDynamic, MatchesTwinRunDynamic) {
   const ImplicitRegularTopology topo(2048, 8, 55);
   const BipartiteGraph twin = topo.materialize();
@@ -349,13 +492,16 @@ TEST(ImplicitDynamic, MatchesTwinRunDynamic) {
   EXPECT_EQ(a.backlog_series, b.backlog_series);
 }
 
-TEST(ImplicitDynamic, StepForStepAgainstTwinEngine) {
-  const ImplicitRegularTopology topo(1024, 6, 77);
+/// Drives an implicit DynamicEngine and its stored twin through the same
+/// bursts and requires equal step stats and final snapshots.
+void expect_dynamic_step_for_step(NodeId n, std::uint32_t delta,
+                                  std::uint32_t d, std::uint64_t seed) {
+  const ImplicitRegularTopology topo(n, delta, 77);
   const BipartiteGraph twin = topo.materialize();
   DynamicParams p;
-  p.base.d = 2;
+  p.base.d = d;
   p.base.c = 2.0;
-  p.base.seed = 3;
+  p.base.seed = seed;
   DynamicEngine imp(topo, p);
   DynamicEngine ref(twin, p);
   EXPECT_EQ(imp.num_clients(), ref.num_clients());
@@ -378,6 +524,16 @@ TEST(ImplicitDynamic, StepForStepAgainstTwinEngine) {
   EXPECT_EQ(ma.backlog, mb.backlog);
   EXPECT_EQ(ma.max_load, mb.max_load);
   EXPECT_EQ(ma.burned_servers, mb.burned_servers);
+}
+
+TEST(ImplicitDynamic, StepForStepAgainstTwinEngine) {
+  expect_dynamic_step_for_step(1024, 6, 2, 3);
+}
+
+TEST(ImplicitDynamic, StepForStepAboveRankCutoff) {
+  // kCutoff + 1 routes the shared cursor through the sorted fallback.
+  expect_dynamic_step_for_step(1024, kCutoff + 1, 1, 3);
+  expect_dynamic_step_for_step(1024, kCutoff + 1, 3, 4);
 }
 
 }  // namespace

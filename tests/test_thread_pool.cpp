@@ -14,6 +14,10 @@
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace saer {
 namespace {
 
@@ -225,6 +229,61 @@ TEST(ThreadTeam, TeamRegionRestoresPreviousTeam) {
   }
   EXPECT_EQ(active_team(), &outer);
 }
+
+#if defined(__linux__)
+// Workers start spread over the allowed CPUs but are not pinned: each one
+// runs with exactly the mask of the thread that created its pool or team.
+void expect_workers_keep_mask(const cpu_set_t& want) {
+  const auto mask_of_this_thread = [] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    EXPECT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+    return set;
+  };
+  ThreadTeam team(4);
+  std::vector<cpu_set_t> team_masks(team.size());
+  team.run([&](unsigned w) { team_masks[w] = mask_of_this_thread(); });
+  for (unsigned w = 0; w < team.size(); ++w) {
+    EXPECT_TRUE(CPU_EQUAL(&team_masks[w], &want)) << "team worker " << w;
+  }
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::vector<cpu_set_t> pool_masks;
+  for (int i = 0; i < 16; ++i) {
+    pool.submit([&] {
+      const cpu_set_t set = mask_of_this_thread();
+      const std::lock_guard lock(mutex);
+      pool_masks.push_back(set);
+    });
+  }
+  pool.wait_idle();
+  ASSERT_EQ(pool_masks.size(), 16u);
+  for (const cpu_set_t& set : pool_masks) EXPECT_TRUE(CPU_EQUAL(&set, &want));
+}
+
+TEST(ThreadPlacement, WorkersKeepTheSpawningThreadsMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  expect_workers_keep_mask(mask);
+}
+
+TEST(ThreadPlacement, SingleCpuMaskStillRunsEveryWorker) {
+  // With one allowed CPU there is nothing to spread over; the workers share
+  // it and every dispatch still completes.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  const int cpu = sched_getcpu();
+  ASSERT_GE(cpu, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  expect_workers_keep_mask(one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+}
+#endif
 
 }  // namespace
 }  // namespace saer
