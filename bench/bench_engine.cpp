@@ -1,7 +1,8 @@
-// B1: google-benchmark microbenchmarks of the engine, the message-level
-// simulator, the generators, and the baselines.  These measure throughput
-// of the implementation itself (balls placed per second, rounds per
-// second), complementing the figure binaries that measure the protocol.
+// B1: google-benchmark microbenchmarks of the engine, the implicit
+// topology, the generators, the sweep scheduler, and the baselines.  These
+// measure throughput of the implementation itself (balls placed per second,
+// rounds per second), complementing the figure binaries that measure the
+// protocol.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +15,6 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/implicit_topology.hpp"
-#include "net/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -305,21 +305,6 @@ void BM_SaerDeepTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_SaerDeepTrace)->Arg(1 << 12);
 
-void BM_MessageSimulator(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  const BipartiteGraph& g = cached_regular(n);
-  ProtocolParams params;
-  params.d = 2;
-  params.c = 2.0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    params.seed = ++seed;
-    benchmark::DoNotOptimize(run_message_simulation(g, params).rounds);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * 2);
-}
-BENCHMARK(BM_MessageSimulator)->Arg(1 << 10)->Arg(1 << 12);
-
 void BM_GenerateRegular(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   std::uint64_t seed = 0;
@@ -384,22 +369,6 @@ void BM_SequentialGreedy2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SequentialGreedy2)->Arg(1 << 12);
-
-void BM_SaerThreads(benchmark::State& state) {
-  const BipartiteGraph& g = cached_regular(1 << 14);
-  ProtocolParams params;
-  params.d = 2;
-  params.c = 2.0;
-  params.record_trace = false;
-  set_thread_count(static_cast<int>(state.range(0)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    params.seed = ++seed;
-    benchmark::DoNotOptimize(run_protocol(g, params).max_load);
-  }
-  set_thread_count(0);
-}
-BENCHMARK(BM_SaerThreads)->Arg(1)->Arg(2)->Arg(4);
 
 // Sweep-scheduler throughput: a 4-point c-grid with 8 replications per
 // point, fanned out over `jobs` pool workers.  The jobs=1 / jobs=N ratio is

@@ -204,21 +204,16 @@ DynamicStepStats DynamicEngine::step(std::uint64_t now_us) {
     std::uint8_t flag = 0;
     if (rr != 0) {
       recv_total_[ui] += rr;
-      if (failed_[ui]) {
-        // Failed servers answer nothing; clients treat it as a reject.
-      } else if (params_.base.protocol == Protocol::kSaer) {
-        if (!burned_[ui]) {
-          if (recv_total_[ui] > cap_) {
-            burned_[ui] = 1;
-          } else {
-            accepted_[ui] += rr;
-            flag = 1;
-          }
-        }
-      } else {
-        if (accepted_[ui] + rr <= cap_) {
+      // Failed servers answer nothing; clients treat it as a reject.
+      if (!failed_[ui]) {
+        const Verdict v = server_verdict(params_.base.protocol,
+                                         burned_[ui] != 0, recv_total_[ui],
+                                         accepted_[ui], rr, cap_);
+        if (v == Verdict::kAccept) {
           accepted_[ui] += rr;
           flag = 1;
+        } else if (v == Verdict::kBurn) {
+          burned_[ui] = 1;
         }
       }
     }

@@ -345,36 +345,31 @@ RunResult run_rounds(const Source& source, const ProtocolParams& params,
       }
     };
 
-    // Phase 2: servers accept or reject the whole round (Algorithm 1,
-    // lines 6-17).  Each block serves its own servers and folds its round
+    // Phase 2: servers accept or reject the whole round by the shared
+    // `server_verdict` kernel (core/protocol.hpp; Algorithm 1, lines
+    // 6-17).  Each block serves its own servers and folds its round
     // statistics into a private RoundBlockStats slot; the acceptance rule
     // for one server is identical in both paths, and sparse rounds just
     // skip servers that received nothing (no ball will read their
-    // verdict).
+    // verdict).  Recv32's saturated total still compares > cap.
     const auto serve = [&](NodeId ui, std::uint32_t rr, RoundBlockStats& s) {
       std::uint8_t f = flags[ui] & static_cast<std::uint8_t>(~kServerAccepted);
       recv.add(ui, rr);  // counts toward Definition 3 regardless of verdict
       if (rr > s.r_max_server) s.r_max_server = rr;
-      if (params.protocol == Protocol::kSaer) {
-        if (f & kServerBurned) {
-          ++s.saturated;
-        } else if (recv.get(ui) > cap) {
+      switch (server_verdict(params.protocol, (f & kServerBurned) != 0,
+                             recv.get(ui), accepted[ui], rr, cap)) {
+        case Verdict::kAccept:
+          accepted[ui] += rr;
+          s.accepted += rr;
+          f |= kServerAccepted;
+          break;
+        case Verdict::kBurn:
           f |= kServerBurned;
           ++s.newly_burned;
+          [[fallthrough]];
+        case Verdict::kReject:
           ++s.saturated;
-        } else {
-          accepted[ui] += rr;
-          s.accepted += rr;
-          f |= kServerAccepted;
-        }
-      } else {  // RAES: reject only if accepting would exceed capacity
-        if (accepted[ui] + rr > cap) {
-          ++s.saturated;
-        } else {
-          accepted[ui] += rr;
-          s.accepted += rr;
-          f |= kServerAccepted;
-        }
+          break;
       }
       flags[ui] = f;
     };

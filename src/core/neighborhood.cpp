@@ -50,19 +50,13 @@ std::vector<NeighborhoodSnapshot> neighborhood_profile(
     for (NodeId u = 0; u < graph.num_servers(); ++u) {
       if (arrivals[u] == 0) continue;
       recv_total[u] += arrivals[u];
-      if (params.protocol == Protocol::kSaer) {
-        if (burned[u]) continue;
-        if (recv_total[u] > cap) {
-          burned[u] = true;
-        } else {
-          din[u] += arrivals[u];
-          accepts[u] = true;
-        }
-      } else {
-        if (din[u] + arrivals[u] <= cap) {
-          din[u] += arrivals[u];
-          accepts[u] = true;
-        }
+      const Verdict v = server_verdict(params.protocol, burned[u],
+                                       recv_total[u], din[u], arrivals[u], cap);
+      if (v == Verdict::kAccept) {
+        din[u] += arrivals[u];
+        accepts[u] = true;
+      } else if (v == Verdict::kBurn) {
+        burned[u] = true;
       }
     }
     for (BallId b = 0; b < total_balls; ++b) {

@@ -26,6 +26,12 @@ std::uint32_t ProtocolParams::default_max_rounds(NodeId n) {
 void ProtocolParams::validate() const {
   if (d == 0) throw std::invalid_argument("ProtocolParams: d must be >= 1");
   if (!(c > 0.0)) throw std::invalid_argument("ProtocolParams: c must be > 0");
+  if (!std::isfinite(c))
+    throw std::invalid_argument("ProtocolParams: c must be finite");
+  // capacity() rounds c*d to a u64 through llround, which is only defined
+  // below 2^63.
+  if (c * static_cast<double>(d) >= 0x1p63)
+    throw std::invalid_argument("ProtocolParams: c*d must be below 2^63");
 }
 
 }  // namespace saer

@@ -9,6 +9,9 @@
 //  * a server's capacity is c*d; SAER burns (permanently stops accepting)
 //    a server whose cumulative received count exceeds capacity; RAES only
 //    rejects a round that would push its accepted count above capacity.
+//    `server_verdict` below is that rule (Algorithm 1, lines 6-17), shared
+//    by every round engine; only core/reference.cpp, the independent
+//    oracle, writes it out by hand.
 
 #include <cstdint>
 #include <limits>
@@ -26,6 +29,27 @@ enum class Protocol : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(Protocol p);
+
+/// What a server does with the rr balls it received this round.
+enum class Verdict : std::uint8_t {
+  kAccept,  ///< accept all rr balls
+  kReject,  ///< reject all rr balls (RAES overflow, or SAER already burned)
+  kBurn,    ///< SAER: reject all rr balls and stop accepting for good
+};
+
+/// The per-server, per-round acceptance rule.  `recv_total` already
+/// includes this round's `rr`; `accepted` is the server's load before the
+/// round.  A caller applies the verdict to its own state: on kAccept it
+/// adds rr to the load, on kBurn it marks the server burned.
+[[nodiscard]] constexpr Verdict server_verdict(
+    Protocol p, bool burned, std::uint64_t recv_total, std::uint64_t accepted,
+    std::uint64_t rr, std::uint64_t cap) noexcept {
+  if (p == Protocol::kSaer) {
+    if (burned) return Verdict::kReject;
+    return recv_total > cap ? Verdict::kBurn : Verdict::kAccept;
+  }
+  return accepted + rr > cap ? Verdict::kReject : Verdict::kAccept;
+}
 
 /// Ball id type; ball b belongs to client b / d.
 using BallId = std::uint64_t;

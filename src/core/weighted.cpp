@@ -71,20 +71,14 @@ WeightedResult run_protocol_weighted(const BipartiteGraph& graph,
       std::uint8_t f = flags[u] & static_cast<std::uint8_t>(~kServerAccepted);
       if (rr != 0) {
         recv_total[u] += rr;
-        if (params.protocol == Protocol::kSaer) {
-          if (!(f & kServerBurned)) {
-            if (recv_total[u] > params.capacity) {
-              f |= kServerBurned;
-            } else {
-              res.weight_loads[u] += rr;
-              f |= kServerAccepted;
-            }
-          }
-        } else {
-          if (res.weight_loads[u] + rr <= params.capacity) {
-            res.weight_loads[u] += rr;
-            f |= kServerAccepted;
-          }
+        const Verdict v = server_verdict(
+            params.protocol, (f & kServerBurned) != 0, recv_total[u],
+            res.weight_loads[u], rr, params.capacity);
+        if (v == Verdict::kAccept) {
+          res.weight_loads[u] += rr;
+          f |= kServerAccepted;
+        } else if (v == Verdict::kBurn) {
+          f |= kServerBurned;
         }
       }
       flags[u] = f;

@@ -90,20 +90,15 @@ AsyncResult run_async(const BipartiteGraph& graph, const AsyncParams& params) {
       const NodeId u = ev.server;
       bool accept = false;
       ++recv_total[u];
-      if (params.base.protocol == Protocol::kSaer) {
-        if (!burned[u]) {
-          if (recv_total[u] > cap) {
-            burned[u] = 1;
-          } else {
-            ++res.loads[u];
-            accept = true;
-          }
-        }
-      } else {  // RAES rule per request: accept while there is room
-        if (res.loads[u] + 1 <= cap) {
-          ++res.loads[u];
-          accept = true;
-        }
+      // Each request is its own round of one ball: RAES accepts while
+      // there is room.
+      const Verdict v = server_verdict(params.base.protocol, burned[u] != 0,
+                                       recv_total[u], res.loads[u], 1, cap);
+      if (v == Verdict::kAccept) {
+        ++res.loads[u];
+        accept = true;
+      } else if (v == Verdict::kBurn) {
+        burned[u] = 1;
       }
       queue.push({ev.time + delay(), ++sequence, EventKind::kReplyArrives,
                   ev.ball, u, accept});

@@ -6,7 +6,9 @@
 // pulls in everything a downstream user needs:
 //   * topologies:       graph/generators.hpp, graph/bipartite_graph.hpp
 //   * the protocols:    core/engine.hpp (SAER / RAES, uniform and <= d
-//                       demands), core/weighted.hpp, core/dynamic.hpp
+//                       demands), core/weighted.hpp, core/dynamic.hpp,
+//                       core/reference.hpp (the naive oracle),
+//                       net/async_simulator.hpp (random message delays)
 //   * results analysis: core/metrics.hpp, core/trace.hpp,
 //                       core/neighborhood.hpp
 //   * applications:     core/subgraph.hpp + graph/spectral.hpp (expander
@@ -41,7 +43,6 @@
 #include "graph/graph_io.hpp"
 #include "graph/spectral.hpp"
 #include "net/async_simulator.hpp"
-#include "net/simulator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/figure.hpp"
 #include "sim/run_record.hpp"

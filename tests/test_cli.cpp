@@ -87,6 +87,18 @@ TEST(CliCommands, RunReportsFailureExitCode) {
   EXPECT_EQ(cli::cmd_run(args), 1);
 }
 
+TEST(CliCommands, RunRejectsNonFiniteC) {
+  // capacity() rounds c*d through llround, which has no defined result for
+  // a non-finite c, so validation must stop the run first.
+  const char* argv[] = {"saer", "run",  "--topology", "ring",
+                        "--n",  "64",   "--c",        "inf"};
+  testing::internal::CaptureStderr();
+  const int code = cli::dispatch(8, argv);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(err.find("c must be finite"), std::string::npos) << err;
+}
+
 TEST(CliCommands, ExpanderRuns) {
   const CliArgs args = make_args(
       {"--topology", "regular", "--n", "512", "--d", "4", "--c", "3"});

@@ -10,7 +10,6 @@
 #include "baselines/one_shot.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
-#include "net/simulator.hpp"
 #include "sim/experiment.hpp"
 
 namespace saer {
@@ -102,20 +101,6 @@ TEST(Integration, CompletionGrowsLogarithmically) {
   // Completion must grow very slowly: sub-linear by far.  The strongest
   // cheap check: quadrupling n from 1024 to 4096 adds at most ~3 rounds.
   EXPECT_LE(rounds.back() - rounds[1], 3.0);
-}
-
-TEST(Integration, MessageSimulatorReproducesTheoremBehaviour) {
-  const BipartiteGraph g = random_regular(1024, theorem_degree(1024), 23);
-  ProtocolParams params;
-  params.d = 2;
-  params.c = 32.0;
-  params.seed = 77;
-  const RunResult res = run_message_simulation(g, params);
-  ASSERT_TRUE(res.completed);
-  EXPECT_LE(res.rounds, analysis_horizon(1024));
-  EXPECT_LT(res.work_per_ball(), 6.0);
-  EXPECT_LE(res.max_load, params.capacity());
-  check_result(g, params, res);
 }
 
 TEST(Integration, AlmostRegularPaperExampleTopology) {
