@@ -34,9 +34,7 @@ struct AsyncExtras {
   std::uint64_t finish_time = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -152,4 +150,10 @@ int main(int argc, char** argv) {
       "work/ball near the synchronous value; load bound c*d never violated "
       "(per-request threshold rule is delay-oblivious)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

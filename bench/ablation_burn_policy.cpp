@@ -16,7 +16,9 @@
 #include "sim/figure.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -76,4 +78,10 @@ int main(int argc, char** argv) {
       "comfortable c.  Corollary 2 is the formal statement that RAES "
       "dominates SAER.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -21,9 +21,12 @@
 //                         shard-specific stream paths, and i = 0..k-1,
 //                         then fold the JSONL streams with
 //                         `saer aggregate` (bit-identical to 1 process)
+// Each binary's main() is guarded_main below: a mistyped flag exits 2 with
+// one line on stderr, as `saer` does.
 
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
@@ -108,5 +111,24 @@ inline SweepPoint make_point(const std::string& topology, NodeId n,
 
 /// Rejects typo'd flags with a readable message; call after all getters.
 inline void reject_unknown_flags(const CliArgs& args) { args.reject_unknown(); }
+
+/// The figure binaries' main(): runs `run` under `saer`'s exit contract
+/// (cli::dispatch).  A usage error -- an unknown flag or a malformed value,
+/// which the flag parsers throw as std::invalid_argument -- exits 2 with
+/// the one line `<binary>: <message>` on stderr; any other std::exception
+/// exits 1 the same way.
+inline int guarded_main(int argc, char** argv, int (*run)(int, char**)) {
+  std::string name = argc > 0 ? argv[0] : "figure";
+  name.erase(0, name.find_last_of('/') + 1);
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), err.what());
+    return 2;
+  } catch (const std::exception& err) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), err.what());
+    return 1;
+  }
+}
 
 }  // namespace saer::benchfig

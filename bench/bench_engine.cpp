@@ -181,13 +181,15 @@ BENCHMARK(BM_ImplicitNeighbors)->Arg(16)->Arg(32)->Arg(64)->Arg(256)->Arg(484)
 // ImplicitRowSampler load (the Delta Floyd draws plus the O(Delta^2)
 // branch-free rank count) and one select of a drawn rank, n = 2^22.  Read
 // against BM_ImplicitNeighbors at the same Delta; these numbers set
-// ImplicitRowSampler::kMaxRankDelta.
-void BM_ImplicitSelect(benchmark::State& state) {
+// ImplicitRowSampler::kMaxRankDelta.  BM_ImplicitSelect runs the kernel
+// this process dispatches to (the `implicit_kernel` context field),
+// BM_ImplicitSelectScalar always the scalar one.
+void implicit_select(benchmark::State& state, detail::RowKernel kernel) {
   constexpr NodeId n = NodeId{1} << 22;
   const auto delta = static_cast<std::uint32_t>(state.range(0));
   const ImplicitRegularTopology topo(n, delta, 7);
   const CounterRng pick(11);
-  ImplicitRowSampler row(topo);
+  ImplicitRowSampler row(topo, kernel);
   NodeId v = 0;
   for (auto _ : state) {
     row.load(v);
@@ -197,7 +199,15 @@ void BM_ImplicitSelect(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+void BM_ImplicitSelect(benchmark::State& state) {
+  implicit_select(state, detail::dispatched_row_kernel());
+}
 BENCHMARK(BM_ImplicitSelect)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
+    ->Unit(benchmark::kNanosecond);
+void BM_ImplicitSelectScalar(benchmark::State& state) {
+  implicit_select(state, detail::RowKernel::kScalar);
+}
+BENCHMARK(BM_ImplicitSelectScalar)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
     ->Unit(benchmark::kNanosecond);
 
 // The memory-lean mode at the same shapes: the delta to BM_SaerRunLargeN
@@ -422,4 +432,15 @@ BENCHMARK(BM_ThreadPoolTaskOverhead)->Arg(1)->Arg(4);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the `implicit_kernel` context field (avx512 or
+// scalar), so every JSON report names the path its implicit numbers ran.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "implicit_kernel",
+      detail::row_kernel_name(detail::dispatched_row_kernel()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

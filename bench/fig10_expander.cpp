@@ -34,9 +34,7 @@ struct SpectralExtras {
   double edge_fraction = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -122,4 +120,10 @@ int main(int argc, char** argv) {
       "spectral gap as d grows, with degrees bounded by d and c*d -- the "
       "bounded-degree expander of Becchetti et al.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

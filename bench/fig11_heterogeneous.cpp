@@ -42,9 +42,7 @@ std::vector<std::uint32_t> make_demands(const std::string& kind, NodeId n,
   return demands;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig11_heterogeneous",
@@ -111,4 +109,10 @@ int main(int argc, char** argv) {
       "uniform-d with lower work/ball and the same c*d load bound (the "
       "paper's 'analysis of the general case is similar' remark)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -111,4 +113,10 @@ int main(int argc, char** argv) {
       "(log n/log log n)^(1/r) curve; SAER pins the load at c*d for "
       "logarithmically many rounds\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -17,7 +17,9 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -94,4 +96,10 @@ int main(int argc, char** argv) {
       "(all are delta-regular); shared blocks pays the largest constants at "
       "tight c because whole neighborhoods saturate together\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -22,7 +22,9 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -114,4 +116,10 @@ int main(int argc, char** argv) {
       "constant max(32, 288/(eta d)) -- the analysis is deliberately "
       "unoptimized (footnote 12)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

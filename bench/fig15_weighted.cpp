@@ -66,9 +66,7 @@ std::uint64_t weight_capacity(const std::vector<std::uint32_t>& weights,
   return std::max<std::uint64_t>(4 * (total / n + 1), 2ULL * w_max);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
       args, "fig15_weighted",
@@ -159,4 +157,10 @@ int main(int argc, char** argv) {
       "setting; heavy elephants raise rounds/burning but the weight "
       "capacity is never exceeded (threshold rule applies verbatim)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -14,7 +14,9 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
       "c*d -- the heavily-loaded regime is the easy direction for the "
       "threshold rule\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -23,7 +23,9 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -117,4 +119,10 @@ int main(int argc, char** argv) {
       std::pow(static_cast<double>(n),
                1.0 / std::log2(std::log2(static_cast<double>(n)))));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

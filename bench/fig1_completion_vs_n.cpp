@@ -15,7 +15,9 @@
 #include "sim/sweep.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -85,4 +87,10 @@ int main(int argc, char** argv) {
         fit.intercept, fit.slope, fit.r2);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -20,7 +20,9 @@
 #include "sim/figure.hpp"
 #include "sim/sweep.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -96,4 +98,10 @@ int main(int argc, char** argv) {
   }
   benchfig::print_sweep_summary(swept, sweep_options);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

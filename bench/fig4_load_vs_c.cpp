@@ -18,7 +18,9 @@
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -108,4 +110,10 @@ int main(int argc, char** argv) {
       reps, oneshot_max.mean(), greedy2_max.mean(), greedy_full_max.mean(),
       one_shot_theory_max_load(n), d);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

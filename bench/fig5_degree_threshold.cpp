@@ -14,7 +14,9 @@
 #include "bench_common.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -88,4 +90,10 @@ int main(int argc, char** argv) {
       "expected shape: stable O(log n) completion at delta >= log^2 n "
       "(ratio >= 1); degradation, if any, confined to the sparse end\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -29,9 +29,7 @@ struct Row {
   saer::Accumulator rounds, work_per_ball, max_load;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -136,4 +134,10 @@ int main(int argc, char** argv) {
       "O(1) work/ball; one-shot worst load; sequential greedy best load but "
       "n*d sequential steps and servers must expose loads\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -14,7 +14,9 @@
 #include "graph/degree_stats.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
       "expected shape: flat completion/work across constant rho; Theorem 1 "
       "holds for every row (c can always be raised to 32*rho)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -17,7 +17,9 @@
 #include "core/metrics.hpp"
 #include "sim/figure.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -89,4 +91,10 @@ int main(int argc, char** argv) {
       3.0 * logn);
   benchfig::print_sweep_summary(swept, sweep_options);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -28,9 +28,7 @@ struct DynamicExtras {
   std::uint64_t failed_servers = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace saer;
   const CliArgs args(argc, argv);
   const std::string csv = figure_preamble(
@@ -131,4 +129,10 @@ int main(int argc, char** argv) {
       "of n*d with p99 latency O(1) rounds; mild churn tolerated without "
       "load-bound violations (metastable regime conjectured in Section 4)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return saer::benchfig::guarded_main(argc, argv, run);
 }

@@ -77,23 +77,87 @@ class ImplicitRegularTopology {
   CounterRng rng_;
 };
 
+namespace detail {
+
+/// The two implementations of ImplicitRowSampler's ranked load (Delta <=
+/// kMaxRankDelta).  kScalar is portable C++, the fallback and the oracle;
+/// kAvx512 takes the Delta draws eight 64-bit lanes per vector and counts
+/// ranks sixteen lanes per vector.  Both produce the same bytes.
+enum class RowKernel : std::uint8_t { kScalar, kAvx512 };
+
+/// One ranked load of client v: set[0, delta) becomes v's Floyd set in
+/// draw order (draw i at step j0 + i, collisions resolved as in
+/// neighbors()), and rank[i] = #{m < delta : set[m] < set[i]} for every
+/// lane i below delta rounded up to 8.  `set` and `rank` hold
+/// kMaxRankDelta lanes; set's lanes from delta on must be 0, and stay 0
+/// with rank 0.
+using RankedLoad = void (*)(const CounterRng& rng, NodeId v,
+                            std::uint64_t j0, std::uint32_t delta,
+                            NodeId* set, std::uint32_t* rank);
+
+/// `kernel`'s entry point, or nullptr when this build or this CPU lacks
+/// it.  kScalar is always present.
+[[nodiscard]] RankedLoad ranked_load(RowKernel kernel) noexcept;
+
+/// The kernel every ImplicitRowSampler runs unless told otherwise:
+/// kAvx512 when the build has it (GCC or Clang on x86-64) and the CPU
+/// reports AVX-512 F, DQ and VL, else kScalar.  The CPU is probed once per
+/// process, by the first sampler constructed -- never by
+/// ImplicitRegularTopology's constructor.
+[[nodiscard]] RowKernel dispatched_row_kernel() noexcept;
+
+/// "avx512" or "scalar".
+[[nodiscard]] const char* row_kernel_name(RowKernel kernel) noexcept;
+
+/// Lemire's multiply word * bound for a bound below 2^32, from two 32x32-bit
+/// products -- the form the vector kernel evaluates per lane.  `value` is
+/// the high word of the 128-bit product, `lo` the low word; both exact,
+/// since (word >> 32) * bound + 2^32 - 1 < 2^64.  Xoshiro256ss::bounded_from
+/// returns `value` without drawing again whenever lo >= bound; the vector
+/// kernel redoes a row with the scalar draws if any lane has lo < bound.
+struct LemireWord {
+  std::uint64_t value;
+  std::uint64_t lo;
+};
+[[nodiscard]] constexpr LemireWord lemire_split(std::uint64_t word,
+                                                std::uint32_t bound) noexcept {
+  const std::uint64_t p =
+      std::uint64_t{static_cast<std::uint32_t>(word)} * bound;
+  const std::uint64_t mid =
+      std::uint64_t{static_cast<std::uint32_t>(word >> 32)} * bound +
+      (p >> 32);
+  return {mid >> 32, (mid << 32) | (p & 0xffffffffu)};
+}
+
+}  // namespace detail
+
 /// Reads one client's row of an ImplicitRegularTopology by rank, without
 /// sorting it: after load(v), (*this)[k] == neighbors(v)[k] for every
 /// k < Delta, byte for byte.  This is the sampler both engines' implicit
 /// cursors hold (core/scatter.hpp, ImplicitCursor).
 ///
 /// load(v) takes the Delta Floyd draws -- the same rng.bounded(v, j, j + 1)
-/// calls as neighbors() -- into lanes of draw order, and counts for every
-/// lane how many drawn values are smaller: Delta^2 branch-free compares,
-/// eight lanes at a time.  Distinct draws give ranks 0..Delta-1, whose
-/// sum is Delta(Delta-1)/2; a smaller sum means two draws collided, and
-/// only then are the collisions resolved in draw order (a colliding draw
-/// becomes its fallback j, exactly as in neighbors(), so every later
-/// compare sees the same set) and the ranks counted again -- a branch
-/// taken with probability about Delta^2 / 2n, one client in 35,000 at
-/// n = 2^22, Delta = 16.
+/// values as neighbors() -- into lanes of draw order, and counts for every
+/// lane how many drawn values are smaller: Delta^2 branch-free compares.
+/// Distinct draws give ranks 0..Delta-1, whose sum is Delta(Delta-1)/2; a
+/// smaller sum means two draws collided, and only then are the collisions
+/// resolved in draw order (a colliding draw becomes its fallback j, exactly
+/// as in neighbors(), so every later compare sees the same set) and the
+/// ranks counted again -- a branch taken with probability about
+/// Delta^2 / 2n, one client in 35,000 at n = 2^22, Delta = 16.
 /// operator[] then returns the lane whose rank is k: one branch-free pass
 /// over the lanes, no sort.
+///
+/// The draws and the count run in one of two kernels (detail::RowKernel),
+/// chosen once per process.  The scalar kernel counts eight lanes per
+/// block.  The AVX-512 kernel evaluates the Delta draws as a lane loop the
+/// compiler vectorizes (Lemire's high word from two 32x32-bit products,
+/// detail::lemire_split; a row where any lane could need Lemire's
+/// rejection step, about 2^-28 of them, is drawn again by the scalar
+/// code), and counts sixteen lanes per vector with a compare-to-mask and a
+/// masked add.  BM_ImplicitSelect against BM_ImplicitSelectScalar at
+/// Delta = 16 (one load plus one select, n = 2^22, one core of a 4-vCPU
+/// Sapphire Rapids VM): 0.12-0.13 us against 0.16-0.19 us.
 ///
 /// Above kMaxRankDelta the quadratic count loses to neighbors()'s sorted
 /// placement, so load() regenerates the sorted row instead and [k] indexes
@@ -103,17 +167,23 @@ class ImplicitRegularTopology {
 /// scatter chunk).  No allocation below the cutoff.
 class ImplicitRowSampler {
  public:
-  /// Largest degree served by rank counting.  BM_ImplicitSelect (one load
-  /// plus one select, n = 2^22, one core of a 4-vCPU Xeon VM) against
-  /// BM_ImplicitNeighbors: 0.20 vs 0.50 us at Delta = 16, 0.4 vs 1.15 us
-  /// at 32, 1.1 vs 2.8 us at 64 and 8.5 vs 14 us at 256.  Both grow as
-  /// Delta^2 from there, and a select is one O(Delta) pass, so d = 2 (a
-  /// load plus two selects) moves the crossover little: it lies between
-  /// Delta = 384 (about 17 vs 20 us) and 448 (about 24 vs 23 us).  The
-  /// cutoff keeps a margin below it.
+  /// Largest degree served by rank counting.  One load plus one select
+  /// (n = 2^22, one core of a 4-vCPU Sapphire Rapids VM, 3-rep medians),
+  /// AVX-512 / scalar kernel against BM_ImplicitNeighbors: 0.13 / 0.16 vs
+  /// 0.54 us at Delta = 16, 0.19 / 0.33 vs 1.1 us at 32, 0.43 / 0.79 vs
+  /// 3.1 us at 64 and 4.0 / 7.8 vs 15 us at 256.  All grow as Delta^2
+  /// from there.  The scalar kernel's crossover at d = 2 (a load plus two
+  /// selects) lies between Delta = 384 and 448; the AVX-512 kernel's lies
+  /// higher, but one cutoff keeps the arrays at 256 lanes and gives both
+  /// kernels the same rows.
   static constexpr std::uint32_t kMaxRankDelta = 256;
 
-  explicit ImplicitRowSampler(const ImplicitRegularTopology& topo);
+  /// Runs `kernel` below the cutoff; throws std::invalid_argument if this
+  /// build or CPU lacks it.  Tests and benchmarks name the kernel; the
+  /// engines take the default.
+  explicit ImplicitRowSampler(
+      const ImplicitRegularTopology& topo,
+      detail::RowKernel kernel = detail::dispatched_row_kernel());
 
   /// Makes client v the current row.
   void load(NodeId v);
@@ -131,16 +201,15 @@ class ImplicitRowSampler {
   }
 
  private:
-  void count_ranks();
-
   const ImplicitRegularTopology* topo_;
+  detail::RankedLoad load_ranked_;
   std::uint32_t delta_;
   /// Rank lanes in use: Delta rounded up to a multiple of 8, or 0 when the
   /// degree is above kMaxRankDelta and `sorted_` holds the row.
   std::uint32_t width_;
-  /// Lanes [0, Delta) hold the row's set in draw order.  Lanes
-  /// [Delta, width_) stay 0: they rank 0, so operator[](0) matches them
-  /// too, but they OR in nothing.
+  /// Lanes [0, Delta) hold the row's set in draw order.  Lanes from Delta
+  /// on stay 0: they rank 0, so operator[](0) matches them too, but they
+  /// OR in nothing.
   std::array<NodeId, kMaxRankDelta> set_{};
   std::array<std::uint32_t, kMaxRankDelta> rank_{};
   std::vector<NodeId> sorted_;

@@ -13,13 +13,20 @@
 //     between the implicit topology and its materialized twin;
 //   * ImplicitRowSampler's rank select equals neighbors(v)[k] and the
 //     insert oracle's row[k] for every k, on both sides of its cutoff;
+//   * both ranked-load kernels (scalar and AVX-512), called directly,
+//     leave set, ranks and every [k] equal to neighbors(v), and the
+//     32x32-bit Lemire split equals Xoshiro256ss::bounded_from;
 //   * the dynamic engine's implicit mode matches its stored twin
 //     step for step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dynamic.hpp"
@@ -288,6 +295,216 @@ TEST(ImplicitRowSampler, CopiesAreIndependent) {
     for (std::uint32_t k = 0; k < delta; ++k) {
       ASSERT_EQ(a[k], row17[k]) << "delta=" << delta << " k=" << k;
       ASSERT_EQ(b[k], row18[k]) << "delta=" << delta << " k=" << k;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The ranked-load kernels (detail::RowKernel), called directly: the scalar
+// kernel always, so an AVX-512 host still tests the fallback, and the
+// AVX-512 kernel wherever the CPU has it.  Each must leave the set, the
+// ranks and every [k] equal to neighbors(v).
+// ---------------------------------------------------------------------------
+
+using detail::RowKernel;
+
+/// Loads client v through `kernel` twice -- the raw entry point into
+/// `set`/`rank`, and `row`, a sampler running the kernel -- and checks both
+/// against neighbors(v): the set is the row in some order, each lane's
+/// rank is its index in the sorted row, lanes from delta on stay 0 with
+/// rank 0, and row[k] is sorted[k] for every k.
+void expect_kernel_row_matches(RowKernel kernel,
+                               const ImplicitRegularTopology& topo, NodeId v,
+                               std::array<NodeId, kCutoff>& set,
+                               std::array<std::uint32_t, kCutoff>& rank,
+                               ImplicitRowSampler& row) {
+  const NodeId n = topo.num_clients();
+  const std::uint32_t delta = topo.degree();
+  const CounterRng rng(topo.graph_seed());
+  const std::vector<NodeId> sorted = row_of(topo, v);
+  detail::ranked_load(kernel)(rng, v, n - delta, delta, set.data(),
+                              rank.data());
+  row.load(v);
+  const auto where = [&] {
+    return std::string(detail::row_kernel_name(kernel)) +
+           " n=" + std::to_string(n) + " delta=" + std::to_string(delta) +
+           " seed=" + std::to_string(topo.graph_seed()) +
+           " v=" + std::to_string(v);
+  };
+  std::vector<NodeId> drawn(set.begin(), set.begin() + delta);
+  std::sort(drawn.begin(), drawn.end());
+  ASSERT_EQ(drawn, sorted) << where();
+  const std::uint32_t width = (delta + 7) & ~7u;
+  for (std::uint32_t i = 0; i < width; ++i) {
+    if (i < delta) {
+      ASSERT_LT(rank[i], delta) << where() << " lane " << i;
+      ASSERT_EQ(sorted[rank[i]], set[i]) << where() << " lane " << i;
+    } else {
+      ASSERT_EQ(set[i], 0u) << where() << " tail lane " << i;
+      ASSERT_EQ(rank[i], 0u) << where() << " tail lane " << i;
+    }
+  }
+  for (std::uint32_t k = 0; k < delta; ++k) {
+    ASSERT_EQ(row[k], sorted[k]) << where() << " k=" << k;
+  }
+}
+
+/// expect_kernel_row_matches over `clients` clients of the shape (all of
+/// them when clients >= n, else a seeded sample including 0 and n - 1),
+/// one after another into the same arrays and sampler so stale state would
+/// show.
+void expect_kernel_matches(RowKernel kernel, NodeId n, std::uint32_t delta,
+                           std::uint64_t seed, NodeId clients) {
+  ASSERT_NE(detail::ranked_load(kernel), nullptr);
+  const ImplicitRegularTopology topo(n, delta, seed);
+  ImplicitRowSampler row(topo, kernel);
+  std::array<NodeId, kCutoff> set{};
+  std::array<std::uint32_t, kCutoff> rank{};
+  const CounterRng pick(seed ^ 0xca11ab1eULL);
+  const NodeId count = std::min(n, clients);
+  for (NodeId t = 0; t < count; ++t) {
+    NodeId v = t;
+    if (clients < n && t > 0) {
+      v = t == 1 ? n - 1 : static_cast<NodeId>(pick.bounded(t, delta, n));
+    }
+    expect_kernel_row_matches(kernel, topo, v, set, rank, row);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+void expect_kernel_matches_all_shapes(RowKernel kernel) {
+  // Random shapes, every client and rank.
+  const CounterRng shapes(0x6e7e15eedULL);
+  for (std::uint64_t t = 0; t < 60; ++t) {
+    const auto n = static_cast<NodeId>(1 + shapes.bounded(t, 0, 300));
+    const auto delta = static_cast<std::uint32_t>(
+        1 + shapes.bounded(t, 1, std::min<NodeId>(n, kCutoff)));
+    expect_kernel_matches(kernel, n, delta, shapes.at(t, 2), n);
+  }
+  // The vector kernel's block edges: one lane, a block short, exact and
+  // one over, and the cutoff.  At n = delta + 3 most late draws collide;
+  // at n = 2^22 they almost never do.
+  for (const std::uint32_t delta : {1u, 15u, 16u, 17u, 31u, 33u, 255u, 256u}) {
+    for (const std::uint64_t seed : kOracleSeeds) {
+      expect_kernel_matches(kernel, delta + 3, delta, seed, 64);
+      expect_kernel_matches(kernel, NodeId{1} << 22, delta, seed, 64);
+    }
+  }
+  // Collision-heavy shapes: delta = n, and n close to delta.
+  for (const std::uint64_t seed : kOracleSeeds) {
+    for (const NodeId n : {NodeId{1}, NodeId{2}, NodeId{16}, NodeId{64}}) {
+      expect_kernel_matches(kernel, n, n, seed, n);
+    }
+    for (const NodeId n : {16u, 17u, 20u, 32u, 100u}) {
+      expect_kernel_matches(kernel, n, 16, seed, n);
+    }
+  }
+}
+
+TEST(ImplicitRowKernel, ReportsTheDispatchedKernel) {
+  const RowKernel dispatched = detail::dispatched_row_kernel();
+  std::printf("[          ] implicit row kernel: %s\n",
+              detail::row_kernel_name(dispatched));
+  RecordProperty("implicit_kernel", detail::row_kernel_name(dispatched));
+  EXPECT_NE(detail::ranked_load(RowKernel::kScalar), nullptr);
+  EXPECT_NE(detail::ranked_load(dispatched), nullptr);
+  // The AVX-512 kernel runs wherever it exists, and a sampler refuses it
+  // where it does not.
+  const bool has_avx512 = detail::ranked_load(RowKernel::kAvx512) != nullptr;
+  EXPECT_EQ(dispatched == RowKernel::kAvx512, has_avx512);
+  if (!has_avx512) {
+    const ImplicitRegularTopology topo(64, 16, 1);
+    EXPECT_THROW(ImplicitRowSampler(topo, RowKernel::kAvx512),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ImplicitRowKernel, ScalarMatchesNeighbors) {
+  expect_kernel_matches_all_shapes(RowKernel::kScalar);
+}
+
+TEST(ImplicitRowKernel, Avx512MatchesNeighbors) {
+  if (detail::ranked_load(RowKernel::kAvx512) == nullptr) {
+    GTEST_SKIP() << "no AVX-512 kernel on this build or CPU";
+  }
+  expect_kernel_matches_all_shapes(RowKernel::kAvx512);
+}
+
+TEST(ImplicitRowKernel, LemireRejectionRowMatches) {
+  // A row the vector kernel must hand back to the scalar draws: at
+  // n = 4293950049, seed 2, client 126760119, draw 9 (j = n - 16 + 9) has
+  // lo < 2^64 mod (j + 1), so bounded_from rejects the first word and the
+  // split's value is not the draw.  Found by search; at this n about one
+  // draw in 2^32 rejects.
+  constexpr NodeId n = 4293950049u;
+  constexpr NodeId v = 126760119u;
+  const ImplicitRegularTopology topo(n, 16, 2);
+  const CounterRng rng(2);
+  const std::uint64_t j = n - 16 + 9;
+  const detail::LemireWord split =
+      detail::lemire_split(rng.at(v, j), static_cast<std::uint32_t>(j + 1));
+  ASSERT_LT(split.lo, j + 1);
+  ASSERT_NE(split.value, rng.bounded(v, j, j + 1));
+  for (const RowKernel kernel : {RowKernel::kScalar, RowKernel::kAvx512}) {
+    if (detail::ranked_load(kernel) == nullptr) continue;
+    ImplicitRowSampler row(topo, kernel);
+    std::array<NodeId, kCutoff> set{};
+    std::array<std::uint32_t, kCutoff> rank{};
+    expect_kernel_row_matches(kernel, topo, v, set, rank, row);
+  }
+}
+
+/// Words a generator hands bounded_from after the first: the split is only
+/// trusted where bounded_from never asks for one.
+struct NoRedraw {
+  std::uint64_t operator()() {
+    ADD_FAILURE() << "bounded_from drew again for a word with lo >= bound";
+    return 0;
+  }
+};
+
+TEST(ImplicitRowKernel, LemireSplitMatchesBoundedFrom) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpedantic"
+  using u128 = unsigned __int128;
+#pragma GCC diagnostic pop
+  const CounterRng words(0x1e3117eULL);
+  for (const std::uint32_t bound :
+       {1u, 2u, 3u, 17u, 1000003u, (1u << 22) - 15, 1u << 22, 0x80000001u,
+        0xfffffffeu, 0xffffffffu}) {
+    // 0 and ceil(2^64 / bound) have lo < bound: the first two words whose
+    // products land below the bound above a multiple of 2^64.
+    // ceil(2^64 / bound) - 1 is the last word with value 0.
+    std::vector<std::uint64_t> cases = {0, 1, ~std::uint64_t{0}};
+    if (bound > 1) {
+      const auto ceil = static_cast<std::uint64_t>(
+          ((u128{1} << 64) + bound - 1) / bound);
+      cases.insert(cases.end(), {ceil - 1, ceil, ceil + 1});
+    }
+    for (std::uint64_t t = 0; t < 2000; ++t) {
+      cases.push_back(words.at(bound, t));
+    }
+    for (const std::uint64_t word : cases) {
+      const detail::LemireWord split = detail::lemire_split(word, bound);
+      const u128 product = u128{word} * bound;
+      ASSERT_EQ(split.value, static_cast<std::uint64_t>(product >> 64))
+          << "word=" << word << " bound=" << bound;
+      ASSERT_EQ(split.lo, static_cast<std::uint64_t>(product))
+          << "word=" << word << " bound=" << bound;
+      if (split.lo >= bound) {
+        NoRedraw gen;
+        ASSERT_EQ(split.value, Xoshiro256ss::bounded_from(word, bound, gen))
+            << "word=" << word << " bound=" << bound;
+      }
+    }
+    EXPECT_LT(detail::lemire_split(0, bound).lo, bound);
+    if (bound > 1) {
+      const auto ceil = static_cast<std::uint64_t>(
+          ((u128{1} << 64) + bound - 1) / bound);
+      EXPECT_GE(detail::lemire_split(ceil - 1, bound).lo, bound);
+      EXPECT_EQ(detail::lemire_split(ceil - 1, bound).value, 0u);
+      EXPECT_LT(detail::lemire_split(ceil, bound).lo, bound);
+      EXPECT_EQ(detail::lemire_split(ceil, bound).value, 1u);
     }
   }
 }
