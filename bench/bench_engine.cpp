@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <vector>
@@ -181,31 +182,50 @@ BENCHMARK(BM_ImplicitNeighbors)->Arg(16)->Arg(32)->Arg(64)->Arg(256)->Arg(484)
 // ImplicitRowSampler load (the Delta Floyd draws plus the O(Delta^2)
 // branch-free rank count) and one select of a drawn rank, n = 2^22.  Read
 // against BM_ImplicitNeighbors at the same Delta; these numbers set
-// ImplicitRowSampler::kMaxRankDelta.  BM_ImplicitSelect runs the kernel
-// this process dispatches to (the `implicit_kernel` context field),
-// BM_ImplicitSelectScalar always the scalar one.
-void implicit_select(benchmark::State& state, detail::RowKernel kernel) {
-  constexpr NodeId n = NodeId{1} << 22;
+// ImplicitRowSampler::kMaxRankDelta.  BM_ImplicitSelect runs the sampler,
+// hence the kernel this process dispatches to (the `implicit_kernel`
+// context field); BM_ImplicitSelectScalar calls the scalar kernel's entry
+// point and selects the same way, so an AVX-512 host measures both.
+constexpr NodeId kSelectN = NodeId{1} << 22;
+
+void BM_ImplicitSelect(benchmark::State& state) {
   const auto delta = static_cast<std::uint32_t>(state.range(0));
-  const ImplicitRegularTopology topo(n, delta, 7);
+  const ImplicitRegularTopology topo(kSelectN, delta, 7);
   const CounterRng pick(11);
-  ImplicitRowSampler row(topo, kernel);
+  ImplicitRowSampler row(topo);
   NodeId v = 0;
   for (auto _ : state) {
     row.load(v);
     benchmark::DoNotOptimize(
         row[static_cast<std::uint32_t>(pick.bounded(v, 0, delta))]);
-    v = (v + 1) & (n - 1);
+    v = (v + 1) & (kSelectN - 1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-void BM_ImplicitSelect(benchmark::State& state) {
-  implicit_select(state, detail::dispatched_row_kernel());
-}
 BENCHMARK(BM_ImplicitSelect)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
     ->Unit(benchmark::kNanosecond);
+
 void BM_ImplicitSelectScalar(benchmark::State& state) {
-  implicit_select(state, detail::RowKernel::kScalar);
+  const auto delta = static_cast<std::uint32_t>(state.range(0));
+  const detail::RankedLoad load =
+      detail::ranked_load(detail::RowKernel::kScalar);
+  const CounterRng rng(7);
+  const CounterRng pick(11);
+  const std::uint32_t width = (delta + 7) & ~7u;
+  std::array<NodeId, ImplicitRowSampler::kMaxRankDelta> set{};
+  std::array<std::uint32_t, ImplicitRowSampler::kMaxRankDelta> rank{};
+  NodeId v = 0;
+  for (auto _ : state) {
+    load(rng, v, kSelectN - delta, delta, set.data(), rank.data());
+    const auto k = static_cast<std::uint32_t>(pick.bounded(v, 0, delta));
+    NodeId out = 0;
+    for (std::uint32_t i = 0; i < width; ++i) {
+      out |= rank[i] == k ? set[i] : NodeId{0};
+    }
+    benchmark::DoNotOptimize(out);
+    v = (v + 1) & (kSelectN - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ImplicitSelectScalar)->Arg(16)->Arg(32)->Arg(64)->Arg(256)
     ->Unit(benchmark::kNanosecond);

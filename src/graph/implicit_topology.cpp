@@ -225,19 +225,11 @@ const char* row_kernel_name(RowKernel kernel) noexcept {
 
 }  // namespace detail
 
-ImplicitRowSampler::ImplicitRowSampler(const ImplicitRegularTopology& topo,
-                                       detail::RowKernel kernel)
+ImplicitRowSampler::ImplicitRowSampler(const ImplicitRegularTopology& topo)
     : topo_(&topo),
-      load_ranked_(detail::ranked_load(kernel)),
+      load_ranked_(detail::ranked_load(detail::dispatched_row_kernel())),
       delta_(topo.degree()),
-      width_(delta_ <= kMaxRankDelta ? (delta_ + 7) & ~7u : 0) {
-  if (load_ranked_ == nullptr) {
-    throw std::invalid_argument(
-        std::string("ImplicitRowSampler: the ") +
-        detail::row_kernel_name(kernel) +
-        " kernel is not available in this build or on this CPU");
-  }
-}
+      width_(delta_ <= kMaxRankDelta ? (delta_ + 7) & ~7u : 0) {}
 
 void ImplicitRowSampler::load(NodeId v) {
   if (width_ == 0) {

@@ -57,9 +57,9 @@ class ImplicitRegularTopology {
   /// per row at Delta = 16 and 25 us at Delta = 484 (n = 2^22, one core of
   /// a 4-vCPU Xeon VM), of which the draws alone are about 0.13 us at
   /// Delta = 16.  A caller that reads one entry of the row should use
-  /// ImplicitRowSampler instead (0.20 us at Delta = 16, see
-  /// BM_ImplicitSelect).  `out` is resized to exactly Delta whatever it
-  /// held; no allocation once its capacity reaches Delta.
+  /// ImplicitRowSampler instead (per-kernel costs in the table at
+  /// ImplicitRowSampler::kMaxRankDelta).  `out` is resized to exactly
+  /// Delta whatever it held; no allocation once its capacity reaches Delta.
   void neighbors(NodeId v, std::vector<NodeId>& out) const;
 
   /// The stored twin: the exact BipartiteGraph whose client rows equal
@@ -99,11 +99,10 @@ using RankedLoad = void (*)(const CounterRng& rng, NodeId v,
 /// it.  kScalar is always present.
 [[nodiscard]] RankedLoad ranked_load(RowKernel kernel) noexcept;
 
-/// The kernel every ImplicitRowSampler runs unless told otherwise:
-/// kAvx512 when the build has it (GCC or Clang on x86-64) and the CPU
-/// reports AVX-512 F, DQ and VL, else kScalar.  The CPU is probed once per
-/// process, by the first sampler constructed -- never by
-/// ImplicitRegularTopology's constructor.
+/// The kernel every ImplicitRowSampler runs: kAvx512 when the build has it
+/// (GCC or Clang on x86-64) and the CPU reports AVX-512 F, DQ and VL, else
+/// kScalar.  The CPU is probed once per process, by the first sampler
+/// constructed -- never by ImplicitRegularTopology's constructor.
 [[nodiscard]] RowKernel dispatched_row_kernel() noexcept;
 
 /// "avx512" or "scalar".
@@ -178,12 +177,8 @@ class ImplicitRowSampler {
   /// kernels the same rows.
   static constexpr std::uint32_t kMaxRankDelta = 256;
 
-  /// Runs `kernel` below the cutoff; throws std::invalid_argument if this
-  /// build or CPU lacks it.  Tests and benchmarks name the kernel; the
-  /// engines take the default.
-  explicit ImplicitRowSampler(
-      const ImplicitRegularTopology& topo,
-      detail::RowKernel kernel = detail::dispatched_row_kernel());
+  /// Runs detail::dispatched_row_kernel() below the cutoff.
+  explicit ImplicitRowSampler(const ImplicitRegularTopology& topo);
 
   /// Makes client v the current row.
   void load(NodeId v);
